@@ -61,16 +61,7 @@ def _c02_eigenvalue_crosscheck() -> CriterionResult:
                             "interior-branch": (4.2, 2.0)}.items():
         asp = ms.appendix_space_from_mu(N, alpha, 1.0)
         sp = asp.space
-        worst = 0.0
-        for _ in range(50):
-            x = rng.normal(size=sp.n)
-            x *= rng.uniform(0.01, 10.0) / np.linalg.norm(x)
-            eig = np.linalg.eigvalsh(ms.ricci_tensor(sp, x))
-            r = float(np.linalg.norm(x))
-            expected = np.sort(np.array(
-                [float(ms.radial_eigenvalue(sp, r))]
-                + [float(ms.tangential_eigenvalue(sp, r))] * (sp.n - 1)))
-            worst = max(worst, float(np.max(np.abs(eig - expected))))
+        worst = ms.eigenvalue_deviation(sp, rng, 50)
         details[f"{tag}_eigen_dev"] = worst
         ok = ok and worst <= 1e-10
         m = asp.N - asp.n

@@ -30,6 +30,9 @@ from . import relations as rel
 from . import reporting
 from .errors import ConfigError, LabError
 
+DEFAULT_GRID = 1024
+DEFAULT_TOL = 1e-11
+
 
 def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
     if text.strip().startswith("{"):
@@ -181,16 +184,7 @@ def cmd_appendix(args) -> int:
     u, _, _, res = ms.appendix_solution(asp, r)
     rel_res = float(np.max(np.abs(res)) / np.max(u**asp.alpha))
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    worst_eig = 0.0
-    for _ in range(100):
-        x = rng.normal(size=asp.n)
-        x *= rng.uniform(0.01, 10.0) / np.linalg.norm(x)
-        eig = np.linalg.eigvalsh(ms.ricci_tensor(asp.space, x))
-        rr = float(np.linalg.norm(x))
-        expected = np.sort(np.array(
-            [float(ms.radial_eigenvalue(asp.space, rr))]
-            + [float(ms.tangential_eigenvalue(asp.space, rr))] * (asp.n - 1)))
-        worst_eig = max(worst_eig, float(np.max(np.abs(eig - expected))))
+    worst_eig = ms.eigenvalue_deviation(asp.space, rng, 100)
     curv = ms.curvature_bound(asp.space, 50.0 * asp.mu)
     sup, ratio, argmax = ms.sharpness_quantity(asp)
     checks = {
@@ -284,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, help="power/comparison exponent")
     parser.add_argument("--delta", type=float, help="quadratic-loss parameter")
     parser.add_argument("--bv", type=float, help="boundary value")
-    parser.add_argument("--grid", type=int, default=1024, help="grid intervals")
-    parser.add_argument("--tol", type=float, default=1e-11, help="solver tolerance")
+    parser.add_argument("--grid", type=int,
+                        help=f"grid intervals (default {DEFAULT_GRID})")
+    parser.add_argument("--tol", type=float,
+                        help=f"solver tolerance (default {DEFAULT_TOL:g})")
     parser.add_argument("--out", help="output path")
     parser.add_argument("--emit-plot-data", action="store_true",
                         help="also write (r, diagnostic) tables")
@@ -310,6 +306,11 @@ def main(argv=None) -> int:
                 return 2
             if getattr(args, key) in (None, False):
                 setattr(args, key, value)
+    # defaults resolve after the merge so a config file can set them
+    if args.grid is None:
+        args.grid = DEFAULT_GRID
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
+
+# scipy is imported inside the functions that call it: importing it costs more
+# than most commands' maths, and `indices` and `certify` never need it.
 
 from .errors import DimensionMismatch, InvalidAlpha
 
@@ -88,6 +89,8 @@ def log_weight_space(n: int, N: float, gamma: float, mu: float,
 
 def table_weight_space(n: int, N: float, r_nodes, phi_values) -> WeightedSpace:
     """Tabulated radial weight, interpolated by a clamped cubic spline."""
+    from scipy.interpolate import CubicSpline
+
     r_nodes = np.asarray(r_nodes, dtype=float)
     vals = np.asarray(phi_values, dtype=float)
     sp = CubicSpline(r_nodes, vals, bc_type=((1, 0.0), "not-a-knot"))
@@ -139,6 +142,23 @@ def ricci_tensor(space: WeightedSpace, x) -> np.ndarray:
     return lam_rad * proj_rad + lam_tan * proj_tan
 
 
+def eigenvalue_deviation(space: WeightedSpace, rng: np.random.Generator,
+                         count: int) -> float:
+    """Worst gap between the dense spectrum of `ricci_tensor` and the radial/
+    tangential eigenvalue curves at `count` random points with |x| in [0.01, 10]."""
+    worst = 0.0
+    for _ in range(count):
+        x = rng.normal(size=space.n)
+        x *= rng.uniform(0.01, 10.0) / np.linalg.norm(x)
+        eig = np.linalg.eigvalsh(ricci_tensor(space, x))
+        r = float(np.linalg.norm(x))
+        expected = np.sort(np.array(
+            [float(radial_eigenvalue(space, r))]
+            + [float(tangential_eigenvalue(space, r))] * (space.n - 1)))
+        worst = max(worst, float(np.max(np.abs(eig - expected))))
+    return worst
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
     minimum: float
@@ -158,6 +178,8 @@ def _refine_min(fn, grid: np.ndarray) -> tuple[float, float]:
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi > lo:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(lambda r: float(fn(np.float64(r))),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-13 * max(1.0, hi)})
@@ -170,6 +192,9 @@ def curvature_bound(space: WeightedSpace, r_max: float, samples: int = 4096) -> 
     """Minimum of both eigenvalue curves over [0, r_max] and the implied K."""
     if r_max <= 0:
         raise ValueError("r_max must be positive")
+    if space.weight_kind == "zero":
+        # phi' and phi'' vanish identically, so both curves are zero
+        return CurvatureReport(0.0, 0.0, "radial", 0.0, r_max)
     grid = np.linspace(0.0, r_max, samples)
     m_rad, r_rad = _refine_min(lambda r: radial_eigenvalue(space, r), grid)
     m_tan, r_tan = _refine_min(lambda r: tangential_eigenvalue(space, r), grid)

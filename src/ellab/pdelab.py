@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+
+# scipy is imported inside the functions that call it: importing it costs more
+# than most commands' maths, and `indices` and `certify` never need it.
 
 from . import modelspace as ms
 from . import nonlinearity as nl
@@ -127,6 +128,8 @@ def solve_radial_bvp(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
                      R: float, boundary_value: float,
                      config: SolverConfig = SolverConfig()) -> SolutionProfile:
     """Damped-Newton solution of the radial problem on [0, 2R]."""
+    from scipy.linalg import solve_banded
+
     if boundary_value <= 0:
         raise ValueError("boundary value must be positive")
     grid = RadialGrid.uniform(R, config.m)
@@ -492,6 +495,8 @@ def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
     values only; its derivative comes from the new spline, so the identity is
     tested rather than assumed.
     """
+    from scipy.interpolate import CubicSpline
+
     fam = profile.spec.family
     if not isinstance(fam, nl.PowerLaw):
         raise ValueError("scaling structure is specific to pure power reactions")

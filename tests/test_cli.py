@@ -1,6 +1,9 @@
 """CLI behavior: parsing, exit codes, determinism, golden regression."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +118,59 @@ def test_config_file(tmp_path):
     assert run(["indices", "--config", str(cfg), "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert "1.5" in data["hypotheses"]
+
+
+def test_config_sets_grid_and_tol(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "power:2", "space": "flat:4", "R": 1.0,
+                               "bv": 0.5, "grid": 64, "tol": 1e-9}))
+    out = tmp_path / "prof.csv"
+    assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 66
+
+
+def test_default_grid_and_tol_keep_config_hash(tmp_path):
+    base = ["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
+            "--R", "1"]
+    out1, out2 = tmp_path / "d.json", tmp_path / "e.json"
+    assert run(base + ["--out", str(out1)]) == 0
+    assert run(base + ["--grid", "1024", "--tol", "1e-11", "--out", str(out2)]) == 0
+    assert (json.loads(out1.read_text())["config_hash"]
+            == json.loads(out2.read_text())["config_hash"])
+
+
+_IMPORT_PROBE = """
+import sys
+from ellab import cli
+
+def run_all(*argvs):
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+
+run_all(["indices", "--f", "power:2", "--N", "5", "--out", "i.json"],
+        ["certify", "--f", "power:2", "--N", "4", "--theorem", "1.3",
+         "--out", "c.json"])
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, sorted(loaded)[:3]
+run_all(["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
+         "--bv", "0.5", "--grid", "128", "--out", "p.csv"],
+        ["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
+         "--R", "1", "--grid", "128", "--out", "v.json"])
+loaded = [m for m in sys.modules
+          if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "interpolate"])]
+assert not loaded, sorted(loaded)[:3]
+"""
+
+
+def test_cheap_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -25,6 +25,13 @@ def test_flat_space_tensor_is_zero():
     assert rep.K == 0.0
 
 
+def test_zero_weight_short_circuit_matches_sampled_path():
+    # gamma = 0 gives an identically zero weight that takes the sampled path
+    sampled = ms.curvature_bound(ms.log_weight_space(4, 5.0, 0.0, 1.0), 5.0)
+    short = ms.curvature_bound(ms.flat(4, 5.0), 5.0)
+    assert short.as_dict() == sampled.as_dict()
+
+
 def test_dimension_mismatch():
     sp = ms.flat(4)
     with pytest.raises(DimensionMismatch):
