@@ -290,28 +290,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _merge_config(parser: argparse.ArgumentParser, args) -> None:
+    """Fill the flags left unset on the command line from the --config file."""
+    try:
+        loaded = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("the file must hold a JSON object")
+    flag_type = {a.dest: bool if a.const is True else a.type or str
+                 for a in parser._actions}
+    for key, value in loaded.items():
+        key = key.replace("-", "_")
+        if not hasattr(args, key):
+            raise ConfigError(f"unknown key {key!r}")
+        kind = flag_type[key]
+        # a JSON integer is a valid float (converted, as argparse would);
+        # bool is an int subclass, so it passes only for a bool flag
+        accepted = (int, float) if kind is float else kind
+        if (not isinstance(value, accepted)
+                or isinstance(value, bool) != (kind is bool)):
+            raise ConfigError(f"key {key!r} needs a {kind.__name__}, "
+                              f"got {value!r}")
+        # an explicit flag wins, including one equal to 0
+        if getattr(args, key) is None or getattr(args, key) is False:
+            setattr(args, key, kind(value))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if not hasattr(args, key):
-                print(f"config error: unknown key {key!r}", file=sys.stderr)
-                return 2
-            if getattr(args, key) in (None, False):
-                setattr(args, key, value)
-    # defaults resolve after the merge so a config file can set them
-    if args.grid is None:
-        args.grid = DEFAULT_GRID
-    if args.tol is None:
-        args.tol = DEFAULT_TOL
     try:
+        if args.config:
+            _merge_config(parser, args)
+        # defaults resolve after the merge so a config file can set them
+        if args.grid is None:
+            args.grid = DEFAULT_GRID
+        if args.tol is None:
+            args.tol = DEFAULT_TOL
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -68,30 +68,13 @@ DEFAULT_EPS_RANGE = (1e-6, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# coefficient formulas
-
-
-@dataclass(frozen=True)
-class CoefficientState:
-    N: float
-    beta: float
-    gamma: float
-    d: float
-    eps: float
-    u: float
-    ratio1: float  # u f'(u) / f(u)
-    ratio2: float  # u^2 f''(u) / f(u)
-
-    def __post_init__(self):
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero")
-        if self.u + self.eps <= 0:
-            raise ValueError("u + eps must be positive")
+# coefficient formulas: the single source, in plain arithmetic so numpy arrays
+# broadcast and sympy symbols give the exact forms tests/test_identities.py
+# checks.  X does not depend on (u, eps) and comes back as a scalar.
 
 
 def coeffs_first_kind(N, beta, gamma, d, u, eps, r1, r2):
     """Vectorized (U, V, W) of the first-kind quadratic form."""
-    u = np.asarray(u, dtype=float)
     s = u / (u + eps)
     U = (2.0 / N) * (1.0 + 1.0 / beta) ** 2 \
         + (gamma / beta - gamma**2) * s**2 \
@@ -105,12 +88,10 @@ def coeffs_first_kind(N, beta, gamma, d, u, eps, r1, r2):
 
 def coeffs_second_kind(N, beta, gamma, d, u, eps, r1, r2):
     """Vectorized (X, Y, Z) of the second-kind quadratic form (eps > 0)."""
-    u = np.asarray(u, dtype=float)
     s = u / (u + eps)
     t = (u + eps) / u
     X = (2.0 / N) * (1.0 + 1.0 / beta) ** 2 + 2.0 * gamma - gamma**2 \
         - gamma / beta - 2.0
-    X = X * np.ones_like(s)
     Y = ((4.0 / N) * (1.0 + beta) + 2.0 + gamma * beta) * s - 2.0 * r1 \
         + 2.0 * d * (gamma - 1.0 + 1.0 / beta) * ((t / beta) * (r1 - 1.0) - gamma) \
         + d * ((t**2 / beta**2) * (r2 + 2.0 - 2.0 * r1)
@@ -118,22 +99,6 @@ def coeffs_second_kind(N, beta, gamma, d, u, eps, r1, r2):
                - (2.0 * gamma / beta) * t * (r1 - 1.0))
     Z = (2.0 * beta**2 / N) * s**2 + d * (beta * gamma * s + 1.0 - r1)
     return X, Y, Z
-
-
-def coefficients_F(state: CoefficientState) -> tuple[float, float, float]:
-    """(U, V, W) for the first-kind auxiliary function at one state."""
-    U, V, W = coeffs_first_kind(state.N, state.beta, state.gamma, state.d,
-                                state.u, state.eps, state.ratio1, state.ratio2)
-    return float(U), float(V), float(W)
-
-
-def coefficients_G(state: CoefficientState) -> tuple[float, float, float]:
-    """(X, Y, Z) for the second-kind auxiliary function at one state."""
-    if state.eps <= 0:
-        raise ValueError("the second-kind transform needs eps > 0")
-    X, Y, Z = coeffs_second_kind(state.N, state.beta, state.gamma, state.d,
-                                 state.u, state.eps, state.ratio1, state.ratio2)
-    return float(X), float(Y), float(Z)
 
 
 def H_value(beta: float, d: float, l: float, N: float,
@@ -758,8 +723,6 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float,
                 "recipes with d > 0 need f > 0 on the whole grid")
         U, V, W = coeffs_first_kind(N, cert.beta, cert.gamma, cert.d,
                                     u, 0.0, r1, r2)
-        U = U * np.ones_like(u)
-        W = W * np.ones_like(u)
         fl = cert.floors
         record("U0", U - fl["U0"], lambda i: {"u": float(u[i])})
         record("W0", W - fl["W0"], lambda i: {"u": float(u[i])})
@@ -782,8 +745,8 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float,
         f, df, d2f = nl.evaluate_many(spec, u)
         if np.any(f <= 0):
             raise HypothesisViolation("window recipes need f > 0 on the grid")
-        r1 = (u * df / f)[:, None] * np.ones_like(ee)
-        r2 = (u * u * d2f / f)[:, None] * np.ones_like(ee)
+        r1 = (u * df / f)[:, None]
+        r2 = (u * u * d2f / f)[:, None]
         coeff = coeffs_first_kind if cert.kind == "first" else coeffs_second_kind
         A, B, Cc = coeff(N, cert.beta, cert.gamma, cert.d, uu, ee, r1, r2)
         A = A * np.ones_like(uu)

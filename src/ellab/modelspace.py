@@ -337,15 +337,6 @@ def weighted_laplacian_values(space: WeightedSpace, u, du, d2u, r) -> np.ndarray
     return out
 
 
-def weighted_laplacian(space: WeightedSpace, u_fn, du_fn, d2u_fn, r: float) -> float:
-    """Pointwise weighted Laplacian of a radial profile given by callables."""
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    u = np.atleast_1d(np.asarray(u_fn(rr), dtype=float))
-    du = np.atleast_1d(np.asarray(du_fn(rr), dtype=float))
-    d2u = np.atleast_1d(np.asarray(d2u_fn(rr), dtype=float))
-    return float(weighted_laplacian_values(space, u, du, d2u, rr)[0])
-
-
 def sharpness_quantity(aspace: AppendixSpace, r_max: Optional[float] = None):
     """sup over r of |grad u|^2/u^2 + u^(alpha-1), and its ratio to K.
 

@@ -167,14 +167,6 @@ def evaluate_many(spec: NonlinearitySpec, t: np.ndarray):
     return f, df, d2f
 
 
-def evaluate(spec: NonlinearitySpec, t: float) -> tuple[float, float, float]:
-    """(f(t), f'(t), f''(t)) at a single positive argument."""
-    if not t > 0:
-        raise NonPositiveArgument(f"t = {t} is not positive")
-    f, df, d2f = evaluate_many(spec, np.array([t]))
-    return float(f[0]), float(df[0]), float(d2f[0])
-
-
 def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray,
                df: Optional[np.ndarray] = None) -> np.ndarray:
     """Nodes where the ratios t f'/f and t^2 f''/f are numerically reliable.

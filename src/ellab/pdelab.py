@@ -453,7 +453,7 @@ def verify_elliptic_inequality(profile: SolutionProfile, params: DiagnosticParam
         dlogw = -b * profile.du / u
     elif which == "G":
         U, V, W = coeffs_second_kind(N, b, g, d, u, eps, r1, r2)
-        drift_coeff = 2.0 * (1.0 / b - 1.0 + g) * np.ones_like(u)
+        drift_coeff = 2.0 * (1.0 / b - 1.0 + g)
         dlogw = -b * profile.du / (u + eps)
     else:
         raise ValueError("which must be 'F' or 'G'")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nonlinearity as nl
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, LabError
 from .pdelab import SolutionProfile
 
 
@@ -153,8 +153,9 @@ def boundary_sweep(solve, lo: float, hi_start: float, count: int = 20,
                    growth: float = 2.0, max_probe: int = 40):
     """Boundary values log-spaced inside the solver's convergent range.
 
-    `solve` maps a boundary value to a profile or raises; the upper end of
-    the range is found by geometric probing, then `count` values are drawn.
+    `solve` maps a boundary value to a profile or raises a LabError; the
+    upper end of the range is found by geometric probing, then `count` values
+    are drawn.  Any other exception is a bug and propagates.
     """
     hi = hi_start
     last_good = None
@@ -163,7 +164,7 @@ def boundary_sweep(solve, lo: float, hi_start: float, count: int = 20,
             solve(hi)
             last_good = hi
             hi *= growth
-        except Exception:
+        except LabError:
             break
     if last_good is None:
         raise HypothesisViolation("no convergent boundary value found")

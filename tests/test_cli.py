@@ -139,6 +139,41 @@ def test_default_grid_and_tol_keep_config_hash(tmp_path):
             == json.loads(out2.read_text())["config_hash"])
 
 
+@pytest.mark.parametrize("bad", [{"grid": "64"}, {"grid": 64.5}, {"R": "1"},
+                                 {"bv": True}, {"emit_plot_data": 1},
+                                 {"f": 2}])
+def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, bad):
+    values = {"f": "power:2", "space": "flat:4", "R": 1.0, "bv": 0.5}
+    values.update(bad)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "prof.csv"
+    assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(next(iter(bad))) in err
+    assert not out.exists()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(["power:2"]))
+    assert run(["indices", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_config_does_not_override_explicit_zero(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    base = ["indices", "--f", "power:2", "--N", "5"]
+    outs = [tmp_path / f"i{k}.json" for k in range(3)]
+    assert run(base + ["--seed", "0", "--config", str(cfg),
+                       "--out", str(outs[0])]) == 0
+    assert run(base + ["--seed", "0", "--out", str(outs[1])]) == 0
+    assert run(base + ["--seed", "5", "--out", str(outs[2])]) == 0
+    h = [json.loads(o.read_text())["config_hash"] for o in outs]
+    assert h[0] == h[1] != h[2]
+
+
 _IMPORT_PROBE = """
 import sys
 from ellab import cli

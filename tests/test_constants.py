@@ -16,20 +16,18 @@ from ellab.errors import (
 )
 
 
-def state(N, beta, gamma=0.0, d=0.0, eps=0.0, u=1.0, r1=0.0, r2=0.0):
-    return ct.CoefficientState(N, beta, gamma, d, eps, u, r1, r2)
-
-
 # --- first-kind coefficients -------------------------------------------------
 
 def test_first_kind_simple_corner():
-    U, V, W = ct.coefficients_F(state(N=2, beta=1.0, u=3.7))
+    U, V, W = ct.coeffs_first_kind(N=2, beta=1.0, gamma=0.0, d=0.0, u=3.7,
+                                   eps=0.0, r1=0.0, r2=0.0)
     assert U == pytest.approx(2.0)
     assert W == pytest.approx(1.0)
 
 
 def test_first_kind_cross_with_ratio_two():
-    _, V, _ = ct.coefficients_F(state(N=2, beta=1.0, r1=2.0))
+    _, V, _ = ct.coeffs_first_kind(N=2, beta=1.0, gamma=0.0, d=0.0, u=1.0,
+                                   eps=0.0, r1=2.0, r2=0.0)
     assert V == pytest.approx(2.0)
 
 
@@ -38,8 +36,8 @@ def test_first_kind_gamma_one_small_eps_limit():
     for N, beta in [(4, 0.7), (5, 0.5), (6, 0.3)]:
         floor = ((2.0 / N) * (1.0 + 1.0 / beta) - 1.0) * (1.0 + 1.0 / beta)
         u = 2.3
-        U, _, _ = ct.coefficients_F(state(N=N, beta=beta, gamma=1.0,
-                                          eps=1e-12 * u, u=u))
+        U, _, _ = ct.coeffs_first_kind(N=N, beta=beta, gamma=1.0, d=0.0, u=u,
+                                       eps=1e-12 * u, r1=0.0, r2=0.0)
         assert U == pytest.approx(floor, abs=1e-8)
 
 
@@ -49,23 +47,48 @@ def test_second_kind_x_is_constant_for_gamma_one():
     for N, beta in [(2, 1.5), (3, 0.8), (5, 0.5)]:
         expected = ((2.0 / N) * (1.0 + 1.0 / beta) - 1.0) * (1.0 + 1.0 / beta)
         for u, eps in [(0.1, 0.5), (3.0, 1e-3), (100.0, 7.0)]:
-            X, _, _ = ct.coefficients_G(state(N=N, beta=beta, gamma=1.0,
-                                              eps=eps, u=u))
+            X, _, _ = ct.coeffs_second_kind(N=N, beta=beta, gamma=1.0, d=0.0,
+                                            u=u, eps=eps, r1=0.0, r2=0.0)
             assert X == pytest.approx(expected, rel=1e-13)
 
 
 def test_second_kind_degenerate_corner_matches_first_kind():
     for N, beta in [(3, 0.5), (5, 1.2)]:
-        X, _, _ = ct.coefficients_G(state(N=N, beta=beta, eps=1e-14, u=1.0))
-        U, _, _ = ct.coefficients_F(state(N=N, beta=beta, u=1.0))
+        X, _, _ = ct.coeffs_second_kind(N=N, beta=beta, gamma=0.0, d=0.0,
+                                        u=1.0, eps=1e-14, r1=0.0, r2=0.0)
+        U, _, _ = ct.coeffs_first_kind(N=N, beta=beta, gamma=0.0, d=0.0,
+                                       u=1.0, eps=0.0, r1=0.0, r2=0.0)
         assert X == pytest.approx(U, abs=1e-12)
         assert X == pytest.approx((2.0 / N) * (1 + 1 / beta) ** 2 - 2.0, abs=1e-12)
 
 
 def test_second_kind_admissibility_boundary():
     # beta = 2/(N-2) exactly makes the constant x^2 coefficient vanish
-    X, _, _ = ct.coefficients_G(state(N=4, beta=1.0, gamma=1.0, eps=0.1))
+    X, _, _ = ct.coeffs_second_kind(N=4, beta=1.0, gamma=1.0, d=0.0, u=1.0,
+                                    eps=0.1, r1=0.0, r2=0.0)
     assert X == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("N,theorem,spec,kw", [
+    (4.0, "1.3", nl.power(2.0), {}),
+    (3.0, "1.5", nl.power(2.0), {"alpha": 2.5}),
+    (4.0, "8", nl.lichnerowicz(1, 1, 3, 0, 0.5), {}),
+])
+def test_cross_terms_match_first_kind_V(N, theorem, spec, kw):
+    # the ratio-free V*y of the amgm cross check is a second transcription of
+    # the first-kind V; both must agree on certify's u-grid
+    cert = ct.synthesize(N, nl.compute_indices(spec), theorem, spec=spec, **kw)
+    assert cert.kind == "first" and cert.cross_mode == "amgm" and cert.gamma == 0.0
+    assert cert.d > 0 or theorem != "1.3"
+    u = np.geomspace(*ct.DEFAULT_U_RANGE, 241)
+    f, df, d2f = nl.evaluate_many(spec, u)
+    m = nl.ratio_mask(spec, u, f, df)
+    _, V, _ = ct.coeffs_first_kind(N, cert.beta, cert.gamma, cert.d, u[m], 0.0,
+                                   u[m] * df[m] / f[m], u[m] ** 2 * d2f[m] / f[m])
+    Vy, y = ct._cross_terms(cert, spec, u)
+    Vy_ratio = V * y[m]
+    scale = np.maximum(np.abs(Vy_ratio), np.abs(y[m]))
+    assert np.all(np.abs(Vy_ratio - Vy[m]) <= 1e-12 * scale)
 
 
 # --- combined cross bound ----------------------------------------------------

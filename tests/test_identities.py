@@ -7,11 +7,14 @@ slack, which for radial functions is ((n-1)/n)(w'' - w'/r)^2.  Verifying
     lap(A) - drift - quadratic form == slack term
 
 with fully symbolic (beta, gamma, d, eps, n) and a generic reaction f pins
-every coefficient of both systems exactly; any transcription slip would leave
-a nonzero residual.
+every coefficient of both systems exactly.  The coefficients come from
+`constants.coeffs_first_kind` / `coeffs_second_kind` themselves, fed sympy
+symbols, so a slip in the production formulas leaves a nonzero residual.
 """
 
 import pytest
+
+from ellab import constants as ct
 
 sp = pytest.importorskip("sympy")
 
@@ -36,33 +39,21 @@ def _check(kind: str) -> None:
 
     r1 = u * sp.diff(f(u), u) / f(u)
     r2 = u**2 * sp.diff(f(u), u, 2) / f(u)
-    s = u / (u + eps)
     y = f(u) / u
 
     if kind == "first":
         w = u**(-beta)
         weight = (u + eps) ** (-beta * gamma)
-        A1 = sp.Rational(2) / n * (1 + 1 / beta) ** 2 \
-            + (gamma / beta - gamma**2) * s**2 \
-            + 2 * (1 - 1 / beta) * gamma * s - 2
-        A2 = sp.Rational(4) / n * (1 + beta) + 2 * (1 - r1) \
-            + d * (r2 / beta**2 - 2 / beta * (r1 - 1)) \
-            + gamma * s * (beta + d * ((1 / beta - gamma) * s + 2 - 2 / beta))
-        A3 = 2 * beta**2 / n + d * (beta * gamma * s + 1 - r1)
+        coeffs = ct.coeffs_first_kind
         drift_coeff = 2 * (1 / beta - 1 + gamma * u / (u + eps))
     else:
         w = (u + eps) ** (-beta)
         weight = w**gamma
-        t = (u + eps) / u
-        A1 = sp.Rational(2) / n * (1 + 1 / beta) ** 2 + 2 * gamma \
-            - gamma**2 - gamma / beta - 2
-        A2 = (sp.Rational(4) / n * (1 + beta) + 2 + gamma * beta) * s - 2 * r1 \
-            + 2 * d * (gamma - 1 + 1 / beta) * ((t / beta) * (r1 - 1) - gamma) \
-            + d * ((t**2 / beta**2) * (r2 + 2 - 2 * r1)
-                   + gamma * (gamma + 1 / beta)
-                   - (2 * gamma / beta) * t * (r1 - 1))
-        A3 = 2 * beta**2 / n * s**2 + d * (beta * gamma * s + 1 - r1)
+        coeffs = ct.coeffs_second_kind
         drift_coeff = 2 * (1 / beta - 1 + gamma)
+    # every float literal in the formulas is 1, 2 or 4, so this is exact
+    A1, A2, A3 = (sp.nsimplify(c, rational=True)
+                  for c in coeffs(n, beta, gamma, d, u, eps, r1, r2))
 
     x = sp.diff(w, r) ** 2 / w**2
     field = weight * (x + d * y)

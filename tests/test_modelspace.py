@@ -191,17 +191,17 @@ def test_exact_solution_decay():
 
 def test_laplacian_classical_identity():
     sp = ms.flat(5)
-    for r in (0.0, 0.5, 2.0):
-        val = ms.weighted_laplacian(sp, lambda x: x**2, lambda x: 2 * x,
-                                    lambda x: 2.0 + 0 * x, r)
-        assert val == pytest.approx(2 * 5)
+    r = np.array([0.0, 0.5, 2.0])
+    val = ms.weighted_laplacian_values(sp, r**2, 2 * r, np.full_like(r, 2.0), r)
+    assert val == pytest.approx(np.full(3, 2 * 5))
 
 
 def test_laplacian_constant():
     sp = ms.flat(3)
-    val = ms.weighted_laplacian(sp, lambda x: 1.0 + 0 * x, lambda x: 0 * x,
-                                lambda x: 0 * x, 1.3)
-    assert val == 0.0
+    r = np.array([1.3])
+    val = ms.weighted_laplacian_values(sp, np.ones_like(r), np.zeros_like(r),
+                                       np.zeros_like(r), r)
+    assert val[0] == 0.0
 
 
 def test_laplacian_fd_convergence():

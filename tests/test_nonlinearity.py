@@ -37,24 +37,27 @@ def fd_derivatives(spec, t, rel=1e-3):
 # --- evaluation ------------------------------------------------------------
 
 def test_evaluate_power_law():
-    assert nl.evaluate(nl.power(2.0), 3.0) == (9.0, 6.0, 2.0)
+    f, df, d2f = nl.evaluate_many(nl.power(2.0), np.array([3.0]))
+    assert (f[0], df[0], d2f[0]) == (9.0, 6.0, 2.0)
 
 
 def test_evaluate_lichnerowicz_allen_cahn_at_one():
     spec = nl.lichnerowicz(1, 1, 3, 0, 0.5)
-    assert nl.evaluate(spec, 1.0) == (0.0, -2.0, -6.0)
+    f, df, d2f = nl.evaluate_many(spec, np.array([1.0]))
+    assert (f[0], df[0], d2f[0]) == (0.0, -2.0, -6.0)
 
 
 def test_evaluate_power_sum():
     spec = nl.power_sum([(1, 2), (1, 3)])
-    assert nl.evaluate(spec, 2.0) == (12.0, 16.0, 14.0)
+    f, df, d2f = nl.evaluate_many(spec, np.array([2.0]))
+    assert (f[0], df[0], d2f[0]) == (12.0, 16.0, 14.0)
 
 
 def test_evaluate_rejects_nonpositive():
     with pytest.raises(NonPositiveArgument):
-        nl.evaluate(nl.power(2.0), 0.0)
+        nl.evaluate_many(nl.power(2.0), np.array([0.0]))
     with pytest.raises(NonPositiveArgument):
-        nl.evaluate(nl.power(2.0), -1.0)
+        nl.evaluate_many(nl.power(2.0), np.array([-1.0]))
 
 
 @pytest.mark.parametrize("spec", [
@@ -66,9 +69,9 @@ def test_evaluate_rejects_nonpositive():
 def test_analytic_derivatives_match_finite_differences(spec):
     for t in np.geomspace(1e-6, 1e6, 25):
         d1, d2 = fd_derivatives(spec, t)
-        f, a1, a2 = nl.evaluate(spec, t)
-        assert a1 == pytest.approx(d1, rel=1e-8, abs=1e-8 * abs(f) / t)
-        assert a2 == pytest.approx(d2, rel=1e-8, abs=1e-8 * abs(f) / t**2)
+        f, a1, a2 = nl.evaluate_many(spec, np.array([t]))
+        assert a1[0] == pytest.approx(d1, rel=1e-8, abs=1e-8 * abs(f[0]) / t)
+        assert a2[0] == pytest.approx(d2, rel=1e-8, abs=1e-8 * abs(f[0]) / t**2)
 
 
 # --- indices ---------------------------------------------------------------
@@ -172,7 +175,7 @@ def test_custom_handle_failure():
     from ellab.errors import EvaluationFailure
     bad = nl.custom(lambda t: 1 / 0, lambda t: 0.0, lambda t: 0.0, positive=True)
     with pytest.raises(EvaluationFailure):
-        nl.evaluate(bad, 1.0)
+        nl.evaluate_many(bad, np.array([1.0]))
 
 
 def test_critical_exponents_rho_needs_dimension_above_one():

@@ -9,7 +9,7 @@ from ellab import modelspace as ms
 from ellab import nonlinearity as nl
 from ellab import pdelab as pde
 from ellab import relations as rel
-from ellab.errors import HypothesisViolation
+from ellab.errors import HypothesisViolation, NoConvergence
 
 FLAT4 = ms.flat(4)
 LANE_EMDEN = nl.power(2.0)
@@ -111,3 +111,20 @@ def test_boundary_sweep_is_deterministic():
                                         pde.SolverConfig(m=256)),
         1e-3, 0.1, count=5)
     assert np.array_equal(vals1, vals2)
+
+
+def test_boundary_sweep_probe_stops_on_lab_errors_only():
+    def solve(bv):
+        if bv > 0.5:
+            raise NoConvergence("no profile")
+        return bv
+
+    values, profiles = rel.boundary_sweep(solve, 1e-3, 0.1, count=3)
+    assert values[-1] == pytest.approx(0.9 * 0.4)
+    assert list(profiles) == list(values)
+
+    def broken(bv):
+        raise TypeError("a bug inside solve")
+
+    with pytest.raises(TypeError):
+        rel.boundary_sweep(broken, 1e-3, 0.1)
