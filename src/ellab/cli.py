@@ -9,7 +9,7 @@ arrow checks), and `suite` (the acceptance battery).
 Reports are canonical JSON (sorted keys, 17 significant digits) embedding a
 content hash of the run configuration, so identical configurations produce
 byte-identical files.  Exit codes: 0 success, 1 a verification failed,
-2 usage or configuration error.
+2 usage or configuration error, an out-of-range numeric flag included.
 """
 
 from __future__ import annotations
@@ -28,10 +28,14 @@ from . import nonlinearity as nl
 from . import pdelab as pde
 from . import relations as rel
 from . import reporting
-from .errors import ConfigError, LabError
+from .errors import ConfigError, InvalidAlpha, LabError
 
 DEFAULT_GRID = 1024
 DEFAULT_TOL = 1e-11
+
+# lower limits of the numeric flags: (flag, limit, whether the limit is allowed)
+FLAG_RANGES = (("R", 0.0, False), ("bv", 0.0, False), ("grid", 3, True),
+               ("N", 1.0, True), ("K", 0.0, True))
 
 
 def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
@@ -179,7 +183,10 @@ def cmd_verify(args) -> int:
 def cmd_appendix(args) -> int:
     if args.N is None or args.alpha is None or args.K is None:
         raise ConfigError("appendix needs --N, --alpha and --K")
-    asp = ms.appendix_space(args.N, args.alpha, args.K)
+    try:
+        asp = ms.appendix_space(args.N, args.alpha, args.K)
+    except (ValueError, InvalidAlpha) as exc:
+        raise ConfigError(f"bad appendix space: {exc}") from exc
     r = np.linspace(0.0, 100.0, 20001)
     u, _, _, res = ms.appendix_solution(asp, r)
     rel_res = float(np.max(np.abs(res)) / np.max(u**asp.alpha))
@@ -219,7 +226,8 @@ def cmd_implications(args) -> int:
     K = args.K if args.K is not None else ms.curvature_bound(space, 2 * R).K
     solve = lambda bv: pde.solve_radial_bvp(space, spec, R, bv,
                                             pde.SolverConfig(m=args.grid))
-    values, corpus = rel.boundary_sweep(solve, args.bv or 1e-3, 0.1, count=20)
+    lo = args.bv if args.bv is not None else 1e-3
+    values, corpus = rel.boundary_sweep(solve, lo, 0.1, count=20)
     rep = rel.implication_suite(corpus, N, spec, K, R)
     report = rep.as_dict()
     cfg = _config_dict(args, ("f", "space", "N", "K", "R", "bv", "grid", "seed"))
@@ -317,6 +325,16 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
             setattr(args, key, kind(value))
 
 
+def _check_ranges(args) -> None:
+    """Reject an out-of-range numeric flag before any command runs."""
+    for key, low, closed in FLAG_RANGES:
+        value = getattr(args, key)
+        # written as `not in range` so that NaN is rejected too
+        if value is not None and not (value >= low if closed else value > low):
+            raise ConfigError(f"--{key} must be {'>=' if closed else '>'} "
+                              f"{low:g}, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -328,6 +346,7 @@ def main(argv=None) -> int:
             args.grid = DEFAULT_GRID
         if args.tol is None:
             args.tol = DEFAULT_TOL
+        _check_ranges(args)
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -663,7 +663,7 @@ def synthesize(N: float, indices: nl.IndexReport, theorem: str, *,
         if not math.isfinite(a):
             raise HypothesisViolation("power exponent required")
         p, ps = nl.p_threshold(N), nl.p_sobolev(N)
-        idx = nl.IndexReport(a, a, a * (a - 1.0), True, True, True, "analytic")
+        idx = nl.compute_indices(nl.power(a))
         if a < p:
             cert = _synth_subcritical(N, idx, "1.9", envelope)
         elif a < ps:

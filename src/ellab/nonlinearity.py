@@ -44,11 +44,17 @@ RATIO_CUTOFF = 1e-12  # |f| below this times the local scale: ratio undefined
 
 # ---------------------------------------------------------------------------
 # families
+# Every analytic family is a finite sum of signed monomials k t^a, exposed as
+# `terms`; evaluation, indices and hypothesis checks read only that sum.
 
 
 @dataclass(frozen=True)
 class PowerLaw:
     alpha: float
+
+    @property
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        return ((1.0, self.alpha),)
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,11 @@ class Lichnerowicz:
             raise ValueError("tau must be < 1")
         if min(self.a, self.b, self.c) < 0:
             raise ValueError("a, b, c must be >= 0")
+
+    @property
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        mono = ((self.a, 1.0), (-self.b, self.sigma), (self.c, self.tau))
+        return tuple((k, e) for k, e in mono if k != 0)
 
 
 @dataclass(frozen=True)
@@ -137,23 +148,19 @@ def evaluate_many(spec: NonlinearitySpec, t: np.ndarray):
     if np.any(t <= 0):
         raise NonPositiveArgument("nonlinearity sampled at t <= 0")
     fam = spec.family
-    if isinstance(fam, PowerLaw):
-        a = fam.alpha
-        return t**a, a * t ** (a - 1), a * (a - 1) * t ** (a - 2)
-    if isinstance(fam, PowerSum):
-        f = np.zeros_like(t)
-        df = np.zeros_like(t)
-        d2f = np.zeros_like(t)
-        for k, a in fam.terms:
+    if not isinstance(fam, Custom):
+        terms = fam.terms
+        if not terms:
+            return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        # accumulate in place and skip the multiply by k = 1 of a pure power:
+        # the solver makes thousands of small-grid calls, where each pass counts
+        (k, a), *rest = terms
+        f = t**a if k == 1.0 else k * t**a
+        df, d2f = k * a * t ** (a - 1), k * a * (a - 1) * t ** (a - 2)
+        for k, a in rest:
             f += k * t**a
             df += k * a * t ** (a - 1)
             d2f += k * a * (a - 1) * t ** (a - 2)
-        return f, df, d2f
-    if isinstance(fam, Lichnerowicz):
-        a, b, s, c, tau = fam.a, fam.b, fam.sigma, fam.c, fam.tau
-        f = a * t - b * t**s + c * t**tau
-        df = a - b * s * t ** (s - 1) + c * tau * t ** (tau - 1)
-        d2f = -b * s * (s - 1) * t ** (s - 2) + c * tau * (tau - 1) * t ** (tau - 2)
         return f, df, d2f
     # Custom: scalar handles, looped
     try:
@@ -172,16 +179,15 @@ def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray,
     """Nodes where the ratios t f'/f and t^2 f''/f are numerically reliable.
 
     f may vanish at isolated points (sign-changing families); ratios are only
-    formed where |f| exceeds 1e-12 of the local term scale.
+    formed where |f| exceeds 1e-12 of the local term scale, sum |k| t^a for a
+    monomial sum.
     """
     fam = spec.family
-    if isinstance(fam, Lichnerowicz):
-        scale = fam.a * t + fam.b * t**fam.sigma + fam.c * t**fam.tau
-        return np.abs(f) > RATIO_CUTOFF * np.maximum(scale, 1e-300)
     if isinstance(fam, Custom):
-        local = np.abs(f) if df is None else np.abs(f) + np.abs(t * df)
-        return np.abs(f) > RATIO_CUTOFF * np.maximum(local, 1e-300)
-    return np.abs(f) > 0
+        scale = np.abs(f) if df is None else np.abs(f) + np.abs(t * df)
+    else:
+        scale = sum(abs(k) * t**a for k, a in fam.terms)
+    return np.abs(f) > RATIO_CUTOFF * np.maximum(scale, 1e-300)
 
 
 def log_grid(lo: float = GRID_LO, hi: float = GRID_HI, n: int = GRID_POINTS) -> np.ndarray:
@@ -235,8 +241,10 @@ def _refine_extremum(fn, t0: float, factor: float, rounds: int, minimize: bool) 
     return best_v
 
 
-def _sampled_indices(spec: NonlinearitySpec, grid: np.ndarray,
-                     require_finite: bool = False) -> IndexReport:
+def _sampled_indices(spec: NonlinearitySpec, grid: Optional[np.ndarray],
+                     require_finite: bool) -> IndexReport:
+    if grid is None:
+        grid = log_grid()
     f, df, d2f = evaluate_many(spec, grid)
     if spec.positive and np.any(f <= 0):
         raise SignChange("f vanishes or changes sign although declared positive")
@@ -291,47 +299,33 @@ def compute_indices(spec: NonlinearitySpec, grid: Optional[np.ndarray] = None,
                     require_finite: bool = False) -> IndexReport:
     """Structural indices (lower, upper, second) of the term.
 
-    Closed forms for the analytic families; grid infima/suprema with local
-    refinement for black-box terms.
+    Closed forms for a monomial sum of one sign and one exponent or of mixed
+    signs; grid infima/suprema with local refinement otherwise.
     """
     fam = spec.family
-    if isinstance(fam, PowerLaw):
-        a = fam.alpha
-        return IndexReport(a, a, a * (a - 1), True, True, True, "analytic")
-    if isinstance(fam, PowerSum):
-        alphas = [a for _k, a in fam.terms]
-        lo, hi = min(alphas), max(alphas)
-        if lo == hi:
-            return IndexReport(lo, hi, lo * (lo - 1), True, True, True, "analytic")
-        # t f'/f is a weighted mean of the exponents, monotone from min to max;
-        # the second ratio is a weighted mean of a_i(a_i - 1) whose infimum is
-        # located by sampling between the endpoint limits.
-        g = grid if grid is not None else log_grid()
-        rep = _sampled_indices(spec, g, require_finite)
-        second = min(rep.second, lo * (lo - 1), hi * (hi - 1))
-        return IndexReport(lo, hi, second, True, True, True, "sampled")
-    if isinstance(fam, Lichnerowicz):
-        a, b, c = fam.a, fam.b, fam.c
-        if b == 0:
-            terms = []
-            if a > 0:
-                terms.append((a, 1.0))
-            if c > 0:
-                terms.append((c, fam.tau))
-            if not terms:
-                raise SignChange("identically zero Lichnerowicz term")
-            return compute_indices(power_sum(terms), grid)
-        if a == 0 and c == 0:
-            s = fam.sigma  # f = -b t^s keeps the power-law ratios
-            return IndexReport(s, s, s * (s - 1), True, True, True, "analytic")
-        # b > 0 with a positive part: f has a positive root, so all three
-        # ratios are unbounded near it
+    if isinstance(fam, Custom):
+        return _sampled_indices(spec, grid, require_finite)
+    signs = {k > 0 for k, _a in fam.terms}
+    if not signs:
+        raise SignChange("identically zero term")
+    if len(signs) == 2:
+        # mixed signs arise only as a t - b t^sigma + c t^tau with
+        # sigma > 1 > tau: the sign flips between t -> 0 and t -> inf, so f
+        # has a positive root and all three ratios are unbounded near it
         if spec.positive:
             raise SignChange("f has a positive root although declared positive")
         return IndexReport(-math.inf, math.inf, -math.inf,
                            False, False, False, "analytic")
-    g = grid if grid is not None else log_grid()
-    return _sampled_indices(spec, g, require_finite)
+    exponents = [a for _k, a in fam.terms]
+    lo, hi = min(exponents), max(exponents)
+    if lo == hi:
+        return IndexReport(lo, hi, lo * (lo - 1), True, True, True, "analytic")
+    # t f'/f is a weighted mean of the exponents, monotone from min to max;
+    # the second ratio is a weighted mean of a_i(a_i - 1) whose infimum is
+    # located by sampling between the endpoint limits.
+    rep = _sampled_indices(spec, grid, require_finite)
+    second = min(rep.second, lo * (lo - 1), hi * (hi - 1))
+    return IndexReport(lo, hi, second, True, True, True, "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +420,9 @@ def power_ratio_nonincreasing(spec: NonlinearitySpec, alpha: float,
                               grid: Optional[np.ndarray] = None) -> bool:
     """Whether t^-alpha f(t) is non-increasing, i.e. t f'(t) <= alpha f(t)."""
     fam = spec.family
-    if isinstance(fam, PowerLaw):
-        return fam.alpha <= alpha
-    if isinstance(fam, PowerSum):
-        return max(a for _k, a in fam.terms) <= alpha
-    if isinstance(fam, Lichnerowicz):
-        # termwise: a(1-alpha) t  - b(sigma-alpha) t^sigma + c(tau-alpha) t^tau
-        ok_a = fam.a == 0 or alpha >= 1
-        ok_b = fam.b == 0 or fam.sigma >= alpha
-        ok_c = fam.c == 0 or fam.tau <= alpha
-        return ok_a and ok_b and ok_c
+    if not isinstance(fam, Custom):
+        # termwise: t f' - alpha f = sum k (a - alpha) t^a
+        return all(k * (a - alpha) <= 0 for k, a in fam.terms)
     g = grid if grid is not None else log_grid()
     f, df, _ = evaluate_many(spec, g)
     slack = g * df - alpha * f
@@ -459,12 +446,8 @@ def ratio_nondecreasing(spec: NonlinearitySpec, grid: Optional[np.ndarray] = Non
 def vanishing_slope_at_zero(spec: NonlinearitySpec) -> bool:
     """V1: f(t)/t -> 0 as t -> 0+."""
     fam = spec.family
-    if isinstance(fam, PowerLaw):
-        return fam.alpha > 1
-    if isinstance(fam, PowerSum):
-        return min(a for _k, a in fam.terms) > 1
-    if isinstance(fam, Lichnerowicz):
-        return fam.a == 0 and fam.c == 0
+    if not isinstance(fam, Custom):
+        return all(a > 1 for _k, a in fam.terms)  # the smallest exponent
     ts = np.geomspace(1e-14, 1e-6, 9)
     f, _, _ = evaluate_many(spec, ts)
     vals = np.abs(f / ts)
@@ -476,24 +459,17 @@ def inverse_bounded(spec: NonlinearitySpec, beta: float,
     """Whether g(t) = t^(-1-beta) f(t) is increasing with a quantified inverse.
 
     Returns (ok, h) where h maps a ratio bound C to the factor in t <= h(C) eps.
-    Exact for the power families; grid-verified (range-limited) for Custom.
+    Exact for monomial sums with positive coefficients; grid-verified
+    (range-limited) for Custom.
     """
     fam = spec.family
-    if isinstance(fam, (PowerLaw, PowerSum)):
-        if isinstance(fam, PowerLaw):
-            p0 = fam.alpha - 1 - beta
-        else:
-            p0 = min(a for _k, a in fam.terms) - 1 - beta
+    if not isinstance(fam, Custom):
+        if not fam.terms or any(k < 0 for k, _a in fam.terms):
+            return False, None
+        p0 = min(a for _k, a in fam.terms) - 1 - beta
         if p0 <= 0:
             return False, None
         return True, (lambda C, p0=p0: max(1.0, C ** (1.0 / p0)))
-    if isinstance(fam, Lichnerowicz):
-        if fam.b > 0:
-            return False, None
-        terms = [(fam.a, 1.0)] * (fam.a > 0) + [(fam.c, fam.tau)] * (fam.c > 0)
-        if not terms:
-            return False, None
-        return inverse_bounded(power_sum(terms), beta)
     g = grid if grid is not None else log_grid(1e-6, 1e6, 2048)
     f, _, _ = evaluate_many(spec, g)
     vals = g ** (-1.0 - beta) * f

@@ -44,6 +44,10 @@ from .errors import (
 ESTIMATE_KINDS = ("gradient-strong", "gradient-weak", "eps-I", "eps-II",
                   "universal-bound", "harnack", "lichnerowicz")
 
+MAX_ITER = 60          # Newton steps before NoConvergence
+MAX_BACKTRACK = 40     # step halvings before PositivityLost
+BLOWUP_FACTOR = 1e8    # max(u) / boundary value that counts as blow-up
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -61,9 +65,6 @@ class RadialGrid:
 class SolverConfig:
     m: int = 2048                 # intervals; m+1 nodes
     tol: float = 1e-11            # residual tolerance relative to scale
-    max_iter: int = 60
-    max_backtrack: int = 40
-    blowup_factor: float = 1e8
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,13 @@ def solve_radial_bvp(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
     converged = norm <= tol_of(u)
     iters = 0
     while not converged:
-        if iters >= config.max_iter:
+        if iters >= MAX_ITER:
             raise NoConvergence(f"residual {norm:.3e} after {iters} iterations")
         ab = _jacobian_banded(space, spec, grid, u)
         step = solve_banded((1, 1), ab, -res)
         t = 1.0
         accepted = False
-        for _ in range(config.max_backtrack):
+        for _ in range(MAX_BACKTRACK):
             cand = u + t * step
             if np.min(cand) > 0:
                 cand_res = _pde_residual(space, spec, grid, cand, boundary_value)
@@ -170,7 +171,7 @@ def solve_radial_bvp(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
             if norm <= 5.0 * roundoff_floor(u):
                 break  # stalled at the evaluation floor: as converged as it gets
             raise PositivityLost("no positive iterate with residual decrease")
-        if np.max(u) > config.blowup_factor * boundary_value:
+        if np.max(u) > BLOWUP_FACTOR * boundary_value:
             raise BlowUp("solution norm exceeded the blow-up cap")
         iters += 1
         converged = norm <= tol_of(u)

@@ -25,6 +25,10 @@ from . import nonlinearity as nl
 from .errors import HypothesisViolation, LabError
 from .pdelab import SolutionProfile
 
+INTERP_TOL = 1e-8     # relative slack of the gradient -> Harnack arrow
+PROBE_GROWTH = 2.0    # boundary-value factor between convergence probes
+MAX_PROBE = 40        # probes before the sweep takes the last good value
+
 
 def harnack_constant(C_L: float, K: float, R: float) -> float:
     """Harnack factor implied by a gradient constant: e^(2 sqrt(C_L(KR^2+1)))."""
@@ -79,8 +83,7 @@ class ImplicationReport:
 
 
 def implication_suite(corpus: list[SolutionProfile], N: float,
-                      spec: nl.NonlinearitySpec, K: float, R: float,
-                      interp_tol: float = 1e-8) -> ImplicationReport:
+                      spec: nl.NonlinearitySpec, K: float, R: float) -> ImplicationReport:
     """Measure the three constants per profile and check each arrow.
 
     Arrow checks:
@@ -121,7 +124,7 @@ def implication_suite(corpus: list[SolutionProfile], N: float,
             "harnack_bound": hb,
             "arrow_bound_to_gradient": math.isfinite(outer["C_U"])
                                        and math.isfinite(inner["C_L"]),
-            "arrow_gradient_to_harnack": inner["C_H"] <= hb * (1.0 + interp_tol),
+            "arrow_gradient_to_harnack": inner["C_H"] <= hb * (1.0 + INTERP_TOL),
             "arrow_harnack_to_bound": math.isfinite(outer["C_H"])
                                       and math.isfinite(inner["C_U"]),
         }
@@ -149,8 +152,7 @@ def implication_suite(corpus: list[SolutionProfile], N: float,
     return ImplicationReport(N, K, R, rows, arrows, hyp)
 
 
-def boundary_sweep(solve, lo: float, hi_start: float, count: int = 20,
-                   growth: float = 2.0, max_probe: int = 40):
+def boundary_sweep(solve, lo: float, hi_start: float, count: int = 20):
     """Boundary values log-spaced inside the solver's convergent range.
 
     `solve` maps a boundary value to a profile or raises a LabError; the
@@ -159,11 +161,11 @@ def boundary_sweep(solve, lo: float, hi_start: float, count: int = 20,
     """
     hi = hi_start
     last_good = None
-    for _ in range(max_probe):
+    for _ in range(MAX_PROBE):
         try:
             solve(hi)
             last_good = hi
-            hi *= growth
+            hi *= PROBE_GROWTH
         except LabError:
             break
     if last_good is None:

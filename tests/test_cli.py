@@ -111,6 +111,29 @@ def test_usage_errors_exit_two(tmp_path):
                 "--R", "1", "--bv", "1"]) == 2              # bad nonlinearity
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--f", "power:2", "--space", "flat:4", "--R", "1", "--bv", "-1"],
+    ["solve", "--f", "power:2", "--space", "flat:4", "--R", "1", "--bv", "0.5",
+     "--grid", "2"],
+    ["solve", "--f", "power:2", "--space", "flat:4", "--R", "0", "--bv", "0.5"],
+    ["indices", "--f", "power:2", "--N", "0.5"],
+    ["certify", "--f", "power:2", "--N", "0.5", "--theorem", "1.3"],
+    ["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
+     "--R", "-1"],
+    ["implications", "--f", "power:2", "--space", "flat:4", "--R", "1",
+     "--K", "-1"],
+    ["implications", "--f", "power:2", "--space", "flat:4", "--R", "1",
+     "--bv", "0"],
+    ["appendix", "--N", "3", "--alpha", "2", "--K", "1"],
+    ["appendix", "--N", "5", "--alpha", "2", "--K", "-1"],
+])
+def test_out_of_range_flags_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"f": "power:2", "N": 5.0, "alpha": 2.0}))
@@ -252,6 +275,13 @@ def test_suite_exit_code(tmp_path, monkeypatch, capsys):
      ["certify", "--f", "power:2", "--N", "5", "--theorem", "1.7"]),
     ("cert_8_N4_allen_cahn.json",
      ["certify", "--f", "lich:1,1,3,0,0.5", "--N", "4", "--theorem", "8"]),
+    ("cert_15_N2.5_allen_cahn.json",
+     ["certify", "--f", "lich:1,1,3,0,0.5", "--N", "2.5", "--theorem", "1.5",
+      "--alpha", "2.8"]),
+    ("indices_N5_powersum23.json",
+     ["indices", "--f", "powersum:1,2;1,3", "--N", "5"]),
+    ("indices_N4_lich_b0.json",
+     ["indices", "--f", "lich:1,0,3,2,0.5", "--N", "4"]),
 ])
 def test_golden_certificates(tmp_path, name, argv):
     out = tmp_path / name

@@ -1,5 +1,6 @@
 """Tests for the nonlinearity module: evaluation, indices, exponents, hypotheses."""
 
+import functools
 import math
 
 import numpy as np
@@ -65,6 +66,9 @@ def test_evaluate_rejects_nonpositive():
     nl.power(0.5),
     nl.power_sum([(1.0, 2.0), (2.0, 3.5)]),
     nl.power_sum([(1.0, 0.5), (1.0, 2.0)]),
+    nl.lichnerowicz(1, 0, 3, 2, 0.5),
+    nl.lichnerowicz(0, 1, 3, 0, 0.5),
+    nl.lichnerowicz(1, 1, 3, 0, 0.5),
 ])
 def test_analytic_derivatives_match_finite_differences(spec):
     for t in np.geomspace(1e-6, 1e6, 25):
@@ -278,6 +282,48 @@ def test_inverse_bounded_power_law():
 def test_inverse_bounded_fails_when_not_increasing():
     ok, _ = nl.inverse_bounded(nl.power(2.0), 1.5)  # exponent 2-1-1.5 < 0
     assert not ok
+
+
+def test_ratio_mask_drops_nodes_next_to_a_root():
+    # t - t^3 vanishes at 1; one ulp away |f| is ~1e-16 of the term scale
+    spec = nl.lichnerowicz(1, 1, 3, 0, 0.5)
+    t = np.array([0.5, np.nextafter(1.0, 2.0), 2.0])
+    f, df, _ = nl.evaluate_many(spec, t)
+    assert f[1] != 0
+    assert nl.ratio_mask(spec, t, f, df).tolist() == [True, False, True]
+
+
+def as_custom(spec):
+    """The same f as a black-box term, so the helpers take their grid paths."""
+    @functools.lru_cache(maxsize=None)
+    def at(t):
+        return [v[0] for v in nl.evaluate_many(spec, np.array([t]))]
+
+    return nl.custom(lambda t: at(t)[0], lambda t: at(t)[1], lambda t: at(t)[2],
+                     positive=spec.positive)
+
+
+@pytest.mark.parametrize("spec", [
+    nl.power(2.0),
+    nl.power(3.5),
+    nl.power_sum([(1, 2), (1, 3)]),
+    nl.power_sum([(1, 0.5), (2, 2.5)]),
+    nl.lichnerowicz(1, 0, 3, 2, 0.5),
+    nl.lichnerowicz(0, 1, 3, 0, 0.5),
+    nl.lichnerowicz(1, 1, 3, 0, 0.5),
+    nl.lichnerowicz(0, 0, 3, 2, 0.5),
+])
+def test_termwise_hypotheses_match_grid_fallbacks(spec):
+    # away from threshold cases (p0 = 0, alpha equal to an exponent) the
+    # monomial-sum answers and the sampled ones must agree
+    black_box = as_custom(spec)
+    for alpha in (1.5, 2.5, 4.0):
+        assert (nl.power_ratio_nonincreasing(spec, alpha)
+                == nl.power_ratio_nonincreasing(black_box, alpha))
+    assert nl.vanishing_slope_at_zero(spec) == nl.vanishing_slope_at_zero(black_box)
+    for beta in (0.25, 0.75, 2.0):
+        assert (nl.inverse_bounded(spec, beta)[0]
+                == nl.inverse_bounded(black_box, beta)[0])
 
 
 def test_ratio_nondecreasing_check():
