@@ -214,9 +214,7 @@ def _c08_estimate_battery() -> CriterionResult:
     flat4 = ms.flat(4)
     spec = nl.power(2.0)
     cert = ct.synthesize(4.0, nl.compute_indices(spec), "1.9")
-    solve = lambda bv: pde.solve_radial_bvp(flat4, spec, 1.0, bv,
-                                            pde.SolverConfig(m=1024))
-    values, corpus = rel.boundary_sweep(solve, 1e-3, 0.1, count=20)
+    values, corpus = rel.boundary_sweep(flat4, spec, 1.0, 1024, 1e-3)
     measured = []
     ok = True
     for prof in corpus:
@@ -236,9 +234,7 @@ def _c08_estimate_battery() -> CriterionResult:
 def _c09_harnack_arrow() -> CriterionResult:
     flat4 = ms.flat(4)
     spec = nl.power(2.0)
-    solve = lambda bv: pde.solve_radial_bvp(flat4, spec, 1.0, bv,
-                                            pde.SolverConfig(m=1024))
-    _, corpus = rel.boundary_sweep(solve, 1e-3, 0.1, count=20)
+    _, corpus = rel.boundary_sweep(flat4, spec, 1.0, 1024, 1e-3)
     asp = ms.appendix_space(5.0, 2.0, 1.0)
     rep = rel.implication_suite(corpus, 4.0, spec, 0.0, 1.0)
     rep2 = rel.implication_suite([pde.exact_profile(asp, 1.0, 2048)], 5.0,

@@ -35,7 +35,7 @@ DEFAULT_TOL = 1e-11
 
 # lower limits of the numeric flags: (flag, limit, whether the limit is allowed)
 FLAG_RANGES = (("R", 0.0, False), ("bv", 0.0, False), ("grid", 3, True),
-               ("N", 1.0, True), ("K", 0.0, True))
+               ("N", 1.0, True), ("K", 0.0, True), ("tol", 0.0, False))
 
 
 def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
@@ -81,6 +81,16 @@ def _write_report(obj: dict, out: str | None, default_name: str) -> Path:
     path = Path(out) if out else Path(default_name)
     reporting.dump(obj, path)
     return path
+
+
+def _dimension(args, space: ms.WeightedSpace) -> float:
+    """--N, or the space's own N; the curvature condition needs N >= n."""
+    if args.N is None:
+        return float(space.N)
+    if args.N < space.n:
+        raise ConfigError(f"--N must be >= the space's dimension {space.n}, "
+                          f"got {args.N!r}")
+    return args.N
 
 
 def _config_dict(args, keys) -> dict:
@@ -158,7 +168,7 @@ def cmd_verify(args) -> int:
     space = parse_space(args.space)
     if args.R is None or args.theorem is None:
         raise ConfigError("verify needs --R and --theorem")
-    N = args.N if args.N is not None else float(space.N)
+    N = _dimension(args, space)
     idx = nl.compute_indices(spec)
     cert = ct.synthesize(N, idx, args.theorem, spec=spec,
                          alpha=args.alpha, delta=args.delta)
@@ -222,12 +232,10 @@ def cmd_implications(args) -> int:
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
     R = args.R if args.R is not None else 1.0
-    N = args.N if args.N is not None else float(space.N)
+    N = _dimension(args, space)
     K = args.K if args.K is not None else ms.curvature_bound(space, 2 * R).K
-    solve = lambda bv: pde.solve_radial_bvp(space, spec, R, bv,
-                                            pde.SolverConfig(m=args.grid))
     lo = args.bv if args.bv is not None else 1e-3
-    values, corpus = rel.boundary_sweep(solve, lo, 0.1, count=20)
+    _, corpus = rel.boundary_sweep(space, spec, R, args.grid, lo)
     rep = rel.implication_suite(corpus, N, spec, K, R)
     report = rep.as_dict()
     cfg = _config_dict(args, ("f", "space", "N", "K", "R", "bv", "grid", "seed"))

@@ -399,7 +399,9 @@ def _choose_d_on_parabola(N: float, beta: float, upper: float) -> tuple[float, f
     slope = (upper - beta) * (upper - 1.0 - beta) / beta**2
     q0 = Q_value(upper, beta, 0.0, N)
     d = (0.5 * q_at_cap - q0) / slope if slope > 0 else 0.5 * d0
-    d = min(max(d, 0.01 * d0), 0.99 * d0)
+    # d = d0 - q_at_cap / (2 slope) < d0 already, with Q(upper) = q_at_cap / 2;
+    # capping d lower would lower Q(upper), below 0 near p_S(N)
+    d = max(d, 0.01 * d0)
     return d, d0
 
 

@@ -430,7 +430,13 @@ def power_ratio_nonincreasing(spec: NonlinearitySpec, alpha: float,
 
 
 def ratio_nondecreasing(spec: NonlinearitySpec, grid: Optional[np.ndarray] = None) -> bool:
-    """Whether t f'/f is non-decreasing, tested as r2 >= r1(r1 - 1) on the grid."""
+    """Whether t f'/f is non-decreasing: termwise for a sum with positive
+    coefficients, otherwise tested as r2 >= r1(r1 - 1) on the grid."""
+    fam = spec.family
+    if not isinstance(fam, Custom) and fam.terms and all(k > 0 for k, _a in fam.terms):
+        # t f'/f is the mean of the exponents under the weights k t^a / f, and
+        # its derivative in log t is their variance, which is >= 0
+        return True
     g = grid if grid is not None else log_grid()
     f, df, d2f = evaluate_many(spec, g)
     ok = ratio_mask(spec, g, f)

@@ -8,7 +8,9 @@ on a uniform grid over [0, 2R] with centered second-order differences and a
 ghost node enforcing the symmetry condition at the origin, so the Jacobian is
 tridiagonal.  Newton steps are damped with positivity backtracking: the
 reaction need not be monotone and the estimates only concern positive
-solutions.
+solutions.  The same discrete equations, marched outward from a centre value
+u(0) instead, give the boundary value of each centre value: many centre
+values at once, without a Jacobian, which maps the solution branch.
 
 On top of profiles the module computes the transform diagnostics (w, the
 first/second-kind auxiliary fields, and the estimate quantity Q), checks each
@@ -87,34 +89,36 @@ class SolutionProfile:
         return self.grid.nodes <= radius * (1.0 + 1e-12)
 
 
+def _drift(space, grid: RadialGrid) -> np.ndarray:
+    """First-order coefficient (n-1)/r - phi'(r) at the interior nodes."""
+    rr = grid.nodes[1:-1]
+    return (space.n - 1.0) / rr - np.asarray(space.dphi(rr), dtype=float)
+
+
 def _pde_residual(space, spec, grid: RadialGrid, u: np.ndarray, bv: float):
     """Residual of the discrete operator at the unknowns u[0..m-1]."""
-    h, r = grid.h, grid.nodes
-    n = space.n
-    m = len(r) - 1
+    h, n = grid.h, space.n
+    m = len(grid.nodes) - 1
     full = np.concatenate([u, [bv]])
     f, _, _ = nl.evaluate_many(spec, np.maximum(full, 1e-300))
     res = np.empty(m)
     res[0] = 2.0 * n * (full[1] - full[0]) / h**2 + f[0]
-    rr = r[1:m]
-    drift = (n - 1.0) / rr - np.asarray(space.dphi(rr), dtype=float)
+    drift = _drift(space, grid)
     res[1:] = ((full[2:m + 1] - 2.0 * full[1:m] + full[0:m - 1]) / h**2
                + drift * (full[2:m + 1] - full[0:m - 1]) / (2.0 * h) + f[1:m])
     return res
 
 
 def _jacobian_banded(space, spec, grid: RadialGrid, u: np.ndarray):
-    h, r = grid.h, grid.nodes
-    n = space.n
-    m = len(r) - 1
+    h, n = grid.h, space.n
+    m = len(grid.nodes) - 1
     _, df, _ = nl.evaluate_many(spec, np.maximum(u, 1e-300))
     lower = np.zeros(m)
     diag = np.zeros(m)
     upper = np.zeros(m)
     diag[0] = -2.0 * n / h**2 + df[0]
     upper[0] = 2.0 * n / h**2
-    rr = r[1:m]
-    drift = (n - 1.0) / rr - np.asarray(space.dphi(rr), dtype=float)
+    drift = _drift(space, grid)
     diag[1:] = -2.0 / h**2 + df[1:m]
     lower[1:] = 1.0 / h**2 - drift / (2.0 * h)
     upper[1:] = 1.0 / h**2 + drift / (2.0 * h)
@@ -180,6 +184,37 @@ def solve_radial_bvp(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
     du, d2u = _fd_derivatives(full, grid.h)
     return SolutionProfile(grid, full, du, d2u, space, spec, boundary_value,
                            norm, {"newton_iterations": iters, "m": m, "R": R})
+
+
+def march_boundary_values(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
+                          R: float, m: int, centres) -> np.ndarray:
+    """u(2R) of the discrete equations of `solve_radial_bvp` from u(0) = a.
+
+    Each row of the discrete operator fixes u_{i+1} from u_i and u_{i-1}, so
+    the equations are marched outward from the centre for every value a in
+    `centres` at once.  A lane that reaches u <= 0, or passes BLOWUP_FACTOR
+    times its centre value, has no positive solution there and returns 0.
+    """
+    grid = RadialGrid.uniform(R, m)
+    h2 = grid.h**2
+    c = _drift(space, grid) * (grid.h / 2.0)
+    a = np.asarray(centres, dtype=float)
+    lanes = np.arange(a.size)
+    cap = BLOWUP_FACTOR * a
+    out = np.zeros(a.size)
+    # a diverging lane overflows before it is dropped; it is dead either way
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, _, _ = nl.evaluate_many(spec, a)
+        prev, cur = a, a - h2 * f / (2.0 * space.n)
+        for i in range(m - 1):
+            live = (cur > 0) & (cur <= cap)
+            if not live.all():
+                lanes, prev, cur, cap = lanes[live], prev[live], cur[live], cap[live]
+            f, _, _ = nl.evaluate_many(spec, cur)
+            prev, cur = cur, (2.0 * cur - (1.0 - c[i]) * prev - h2 * f) / (1.0 + c[i])
+        live = (cur > 0) & (cur <= cap)
+    out[lanes[live]] = cur[live]
+    return out
 
 
 def _fd_derivatives(u: np.ndarray, h: float):

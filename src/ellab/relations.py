@@ -21,13 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import modelspace as ms
 from . import nonlinearity as nl
-from .errors import HypothesisViolation, LabError
-from .pdelab import SolutionProfile
+from . import pdelab as pde
+from .errors import HypothesisViolation
 
 INTERP_TOL = 1e-8     # relative slack of the gradient -> Harnack arrow
-PROBE_GROWTH = 2.0    # boundary-value factor between convergence probes
-MAX_PROBE = 40        # probes before the sweep takes the last good value
+RUNG_BASE = 0.1       # boundary values of the sweep's top are RUNG_BASE * 2^k,
+RUNGS = 40            # k < RUNGS
+MARCH_GRID = 128      # intervals of the march that finds the branch top
+# centre values u(0) of that march, log-spaced over RUNG_BASE * 2^(-RUNGS..RUNGS);
+# the lower half is there so that a branch peaking below RUNG_BASE is named
+MARCH_CENTRES = 1023
 
 
 def harnack_constant(C_L: float, K: float, R: float) -> float:
@@ -37,7 +42,7 @@ def harnack_constant(C_L: float, K: float, R: float) -> float:
     return math.exp(2.0 * math.sqrt(C_L * (K * R**2 + 1.0)))
 
 
-def measured_constants(profile: SolutionProfile, K: float, radius: float) -> dict:
+def measured_constants(profile: pde.SolutionProfile, K: float, radius: float) -> dict:
     """Smallest constants making each display true for this profile."""
     sel = profile.ball(radius)
     u, du = profile.u[sel], profile.du[sel]
@@ -82,7 +87,7 @@ class ImplicationReport:
         return header, [np.asarray(c) for c in cols]
 
 
-def implication_suite(corpus: list[SolutionProfile], N: float,
+def implication_suite(corpus: list[pde.SolutionProfile], N: float,
                       spec: nl.NonlinearitySpec, K: float, R: float) -> ImplicationReport:
     """Measure the three constants per profile and check each arrow.
 
@@ -152,26 +157,26 @@ def implication_suite(corpus: list[SolutionProfile], N: float,
     return ImplicationReport(N, K, R, rows, arrows, hyp)
 
 
-def boundary_sweep(solve, lo: float, hi_start: float, count: int = 20):
-    """Boundary values log-spaced inside the solver's convergent range.
+def boundary_sweep(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
+                   R: float, m: int, lo: float, count: int = 20):
+    """Boundary values log-spaced below the top of the solution branch, with
+    their Newton profiles on an m-interval grid.
 
-    `solve` maps a boundary value to a profile or raises a LabError; the
-    upper end of the range is found by geometric probing, then `count` values
-    are drawn.  Any other exception is a bug and propagates.
+    The top is the largest boundary value of one coarse march from the
+    centre (`pdelab.march_boundary_values`); the values run from `lo` to 0.9
+    times the largest rung RUNG_BASE * 2^k (k < RUNGS) below it.  A solver
+    error on a corpus value propagates.
     """
-    hi = hi_start
-    last_good = None
-    for _ in range(MAX_PROBE):
-        try:
-            solve(hi)
-            last_good = hi
-            hi *= PROBE_GROWTH
-        except LabError:
-            break
-    if last_good is None:
-        raise HypothesisViolation("no convergent boundary value found")
-    values = np.geomspace(lo, 0.9 * last_good, count)
-    profiles = []
-    for bv in values:
-        profiles.append(solve(float(bv)))
+    centres = RUNG_BASE * np.geomspace(2.0**-RUNGS, 2.0**RUNGS, MARCH_CENTRES)
+    top = float(np.max(pde.march_boundary_values(space, spec, R, MARCH_GRID,
+                                                 centres)))
+    if top < RUNG_BASE:
+        raise HypothesisViolation(f"the solution branch peaks at boundary value "
+                                  f"{top:.6g}, below {RUNG_BASE:g}")
+    rung = max(RUNG_BASE * 2.0**k for k in range(RUNGS)
+               if RUNG_BASE * 2.0**k <= top)
+    values = np.geomspace(lo, 0.9 * rung, count)
+    config = pde.SolverConfig(m=m)
+    profiles = [pde.solve_radial_bvp(space, spec, R, float(bv), config)
+                for bv in values]
     return values, profiles

@@ -126,6 +126,12 @@ def test_usage_errors_exit_two(tmp_path):
      "--bv", "0"],
     ["appendix", "--N", "3", "--alpha", "2", "--K", "1"],
     ["appendix", "--N", "5", "--alpha", "2", "--K", "-1"],
+    ["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
+     "--R", "1", "--N", "3"],
+    ["implications", "--f", "power:2", "--space", "flat:4", "--R", "1",
+     "--N", "3"],
+    ["solve", "--f", "power:2", "--space", "flat:4", "--R", "1", "--bv", "0.5",
+     "--tol", "-1"],
 ])
 def test_out_of_range_flags_exit_two(tmp_path, capsys, argv):
     out = tmp_path / "out.json"

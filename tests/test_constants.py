@@ -308,6 +308,17 @@ def test_synthesized_certificates_certify(N, theorem, spec, kw):
         assert v >= 0
 
 
+@pytest.mark.parametrize("N", [3.0, 4.0, 5.0, 6.0, 8.0])
+def test_theorem_19_certifies_up_to_the_sobolev_exponent(N):
+    # the estimate claims every alpha in (1, p_S(N)); the margins shrink
+    # towards the edge (3.5e-8 at N = 5 and 0.9999) but stay positive
+    for share in (0.99, 0.995, 0.999, 0.9999):
+        spec = nl.power(1.0 + share * (nl.p_sobolev(N) - 1.0))
+        cert = _certified(N, "1.9", spec)
+        assert cert.status == "certified"
+        assert cert.verification["worst_margin"] > 0
+
+
 def test_floors_positive_for_standard_certs():
     cert = _certified(5.0, "1.7", nl.power(2.0))
     assert all(v > 0 for v in cert.floors.values())

@@ -324,10 +324,13 @@ def test_termwise_hypotheses_match_grid_fallbacks(spec):
     for beta in (0.25, 0.75, 2.0):
         assert (nl.inverse_bounded(spec, beta)[0]
                 == nl.inverse_bounded(black_box, beta)[0])
+    assert nl.ratio_nondecreasing(spec) == nl.ratio_nondecreasing(black_box)
 
 
 def test_ratio_nondecreasing_check():
     assert nl.ratio_nondecreasing(nl.power(2.0))
+    # t^40 overflows on the sampling grid, but t f'/f = 40 is constant
+    assert nl.ratio_nondecreasing(nl.power(40.0))
     assert nl.ratio_nondecreasing(nl.power_sum([(1, 2), (1, 3)]))
     # t^2 e^-t has ratio 2 - t, strictly decreasing
     assert not nl.ratio_nondecreasing(nl.custom(

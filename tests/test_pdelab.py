@@ -71,6 +71,26 @@ def test_solver_residual_contract():
     assert np.max(np.abs(res)) <= 1e-11 * scale + floor
 
 
+@pytest.mark.parametrize("space", [FLAT4, ms.appendix_space(5.0, 2.0, 1.0).space])
+@pytest.mark.parametrize("m", [128, 1024])
+def test_march_solves_the_newton_equations(space, m):
+    # marching from the solver's own centre value retraces its profile
+    prof = pde.solve_radial_bvp(space, LANE_EMDEN, 1.0, 0.5, pde.SolverConfig(m=m))
+    bv = pde.march_boundary_values(space, LANE_EMDEN, 1.0, m, [prof.u[0]])
+    assert abs(bv[0] - 0.5) <= 1e-10
+
+
+def test_march_zeroes_lanes_without_a_positive_solution():
+    # on flat:4 at R = 1, Lane-Emden from a centre of 20 crosses zero before
+    # r = 2; the small centre survives with its boundary value just below it
+    bv = pde.march_boundary_values(FLAT4, LANE_EMDEN, 1.0, 128, [1e-3, 20.0])
+    assert 0.99e-3 < bv[0] < 1e-3 and bv[1] == 0.0
+    # f = t - t^3 is negative above 1: from 5 the profile grows without bound
+    allen_cahn = nl.lichnerowicz(1, 1, 3, 0, 0.5)
+    bv = pde.march_boundary_values(FLAT4, allen_cahn, 1.0, 128, [1.0, 5.0])
+    assert bv[0] == pytest.approx(1.0) and bv[1] == 0.0
+
+
 def test_supercritical_data_fails():
     with pytest.raises((BlowUp, NoConvergence, pde.PositivityLost)):
         pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 50.0, pde.SolverConfig(m=256))

@@ -16,9 +16,7 @@ LANE_EMDEN = nl.power(2.0)
 
 
 def small_corpus(count=6, m=512):
-    solve = lambda bv: pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, bv,
-                                            pde.SolverConfig(m=m))
-    _, corpus = rel.boundary_sweep(solve, 1e-2, 0.1, count=count)
+    _, corpus = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, m, 1e-2, count=count)
     return corpus
 
 
@@ -102,29 +100,43 @@ def test_suite_report_serializes():
 
 
 def test_boundary_sweep_is_deterministic():
-    vals1, _ = rel.boundary_sweep(
-        lambda bv: pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, bv,
-                                        pde.SolverConfig(m=256)),
-        1e-3, 0.1, count=5)
-    vals2, _ = rel.boundary_sweep(
-        lambda bv: pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, bv,
-                                        pde.SolverConfig(m=256)),
-        1e-3, 0.1, count=5)
+    vals1, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 256, 1e-3, count=5)
+    vals2, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 256, 1e-3, count=5)
     assert np.array_equal(vals1, vals2)
 
 
-def test_boundary_sweep_probe_stops_on_lab_errors_only():
-    def solve(bv):
-        if bv > 0.5:
-            raise NoConvergence("no profile")
-        return bv
+@pytest.mark.parametrize("space,rung", [
+    (ms.flat(3), 0.4),
+    (FLAT4, 0.8),
+    (ms.appendix_space(5.0, 2.0, 1.0).space, 0.8),
+])
+@pytest.mark.parametrize("m", [512, 1024, 2048])
+def test_boundary_sweep_tops_out_at_the_rung_below_the_fold(space, rung, m):
+    # the folds lie at about 0.586, 0.859 and 1.100: the top rung is the
+    # one the Newton solver reaches, and every corpus value converges
+    values, corpus = rel.boundary_sweep(space, LANE_EMDEN, 1.0, m, 1e-3)
+    assert np.array_equal(values, np.geomspace(1e-3, 0.9 * rung, 20))
+    assert [p.boundary_value for p in corpus] == list(values)
 
-    values, profiles = rel.boundary_sweep(solve, 1e-3, 0.1, count=3)
-    assert values[-1] == pytest.approx(0.9 * 0.4)
-    assert list(profiles) == list(values)
 
-    def broken(bv):
-        raise TypeError("a bug inside solve")
+@pytest.mark.parametrize("R,rung", [(2.0, 0.2), (2.5, 0.1)])
+def test_boundary_sweep_rung_follows_the_scaled_fold(R, rung):
+    # the fold 0.8587 / R^2 is 0.215 at R = 2 and 0.137 at R = 2.5
+    values, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, R, 512, 1e-3)
+    assert values[-1] == 0.9 * rung
 
-    with pytest.raises(TypeError):
-        rel.boundary_sweep(broken, 1e-3, 0.1)
+
+def test_boundary_sweep_names_the_branch_maximum():
+    # Lane-Emden scaling: the flat:4 fold at R = 1 (about 0.8587) moves to
+    # 0.8587 / R^2 at radius R, below the lowest rung 0.1
+    with pytest.raises(HypothesisViolation, match=r"0\.008[56]"):
+        rel.boundary_sweep(FLAT4, LANE_EMDEN, 10.0, 512, 1e-3)
+
+
+def test_boundary_sweep_propagates_corpus_solver_errors(monkeypatch):
+    def solve(space, spec, R, bv, config):
+        raise NoConvergence("no profile")
+
+    monkeypatch.setattr(pde, "solve_radial_bvp", solve)
+    with pytest.raises(NoConvergence):
+        rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 512, 1e-3)

@@ -54,3 +54,24 @@ def test_write_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"
+
+
+def test_write_csv_matches_the_per_cell_format(tmp_path):
+    # the block writer must give the bytes of formatting cell by cell:
+    # format(v, ".17g") for a float, str(v) otherwise
+    rows = 4 * reporting.CSV_BLOCK + 3  # full blocks and a partial one
+    floats = np.resize([1.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 0.1, 1 / 3],
+                       rows)
+    cols = [np.arange(rows), floats, np.arange(rows) % 3 == 0,
+            np.linspace(-1.0, 1.0, rows)]
+    path = tmp_path / "t.csv"
+    reporting.write_csv(path, ["i", "x", "flag", "y"], cols)
+    expected = ["i,x,flag,y"]
+    for i in range(rows):
+        expected.append(",".join(
+            format(float(col[i]), ".17g") if isinstance(col[i], np.floating)
+            else str(col[i]) for col in cols))
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert [line.split(",")[1] for line in expected[1:7]] == [
+        "1", "-0", "nan", "inf", "-inf", "1.0000000000000001e+300"]
+    assert expected[1].split(",")[2] == "True"
