@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
 from . import constants as ct
 from . import modelspace as ms
 from . import nonlinearity as nl
-from . import pdelab as pde
-from . import relations as rel
 from . import reporting
 from .errors import ConfigError, InvalidAlpha, LabError
+
+# acceptance, pdelab and relations are imported inside the commands that use
+# them, so `indices` and `certify` load neither the solver nor the battery.
 
 DEFAULT_GRID = 1024
 DEFAULT_TOL = 1e-11
@@ -144,6 +144,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import pdelab as pde
+
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
     if args.R is None or args.bv is None:
@@ -164,6 +166,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import pdelab as pde
+
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
     if args.R is None or args.theorem is None:
@@ -229,6 +233,8 @@ def cmd_appendix(args) -> int:
 
 
 def cmd_implications(args) -> int:
+    from . import relations as rel
+
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
     R = args.R if args.R is not None else 1.0
@@ -252,6 +258,8 @@ def cmd_implications(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_suite(printer=print)
     report = {"criteria": [
         {"number": r.number, "name": r.name, "passed": r.passed,

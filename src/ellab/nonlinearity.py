@@ -162,16 +162,17 @@ def evaluate_many(spec: NonlinearitySpec, t: np.ndarray):
             df += k * a * t ** (a - 1)
             d2f += k * a * (a - 1) * t ** (a - 2)
         return f, df, d2f
-    # Custom: scalar handles, looped
+    # Custom: scalar handles, looped over the flattened input
+    flat = t.ravel()
     try:
-        f = np.array([float(fam.f(x)) for x in np.atleast_1d(t)])
-        df = np.array([float(fam.df(x)) for x in np.atleast_1d(t)])
-        d2f = np.array([float(fam.d2f(x)) for x in np.atleast_1d(t)])
+        f = np.array([float(fam.f(x)) for x in flat])
+        df = np.array([float(fam.df(x)) for x in flat])
+        d2f = np.array([float(fam.d2f(x)) for x in flat])
     except Exception as exc:  # noqa: BLE001 - user handle can raise anything
         raise EvaluationFailure(f"custom handle failed: {exc}") from exc
     if t.ndim == 0:
         return f[0], df[0], d2f[0]
-    return f, df, d2f
+    return f.reshape(t.shape), df.reshape(t.shape), d2f.reshape(t.shape)
 
 
 def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray,

@@ -8,9 +8,11 @@ on a uniform grid over [0, 2R] with centered second-order differences and a
 ghost node enforcing the symmetry condition at the origin, so the Jacobian is
 tridiagonal.  Newton steps are damped with positivity backtracking: the
 reaction need not be monotone and the estimates only concern positive
-solutions.  The same discrete equations, marched outward from a centre value
-u(0) instead, give the boundary value of each centre value: many centre
-values at once, without a Jacobian, which maps the solution branch.
+solutions.  Many boundary values are solved at once as independent lanes
+of one Newton loop.  The same discrete equations, marched outward from a
+centre value u(0) instead, give the boundary value of each centre value:
+many centre values at once, without a Jacobian, which maps the solution
+branch.
 
 On top of profiles the module computes the transform diagnostics (w, the
 first/second-kind auxiliary fields, and the estimate quantity Q), checks each
@@ -49,6 +51,12 @@ ESTIMATE_KINDS = ("gradient-strong", "gradient-weak", "eps-I", "eps-II",
 MAX_ITER = 60          # Newton steps before NoConvergence
 MAX_BACKTRACK = 40     # step halvings before PositivityLost
 BLOWUP_FACTOR = 1e8    # max(u) / boundary value that counts as blow-up
+# centre values u(0) that map a solution branch, log-spaced over
+# 0.1 * 2^(-40..40), about 5.6% apart; the lower half finds a branch that
+# peaks below the boundary sweep's lowest rung 0.1
+BRANCH_CENTRES = 0.1 * np.geomspace(2.0**-40, 2.0**40, 1023)
+BRANCH_GRID = 128      # intervals of the coarse march over those centres
+REFINE_CENTRES = 65    # centres between two of those that refine the maximum
 
 
 @dataclass(frozen=True)
@@ -95,95 +103,199 @@ def _drift(space, grid: RadialGrid) -> np.ndarray:
     return (space.n - 1.0) / rr - np.asarray(space.dphi(rr), dtype=float)
 
 
-def _pde_residual(space, spec, grid: RadialGrid, u: np.ndarray, bv: float):
-    """Residual of the discrete operator at the unknowns u[0..m-1]."""
-    h, n = grid.h, space.n
-    m = len(grid.nodes) - 1
-    full = np.concatenate([u, [bv]])
-    f, _, _ = nl.evaluate_many(spec, np.maximum(full, 1e-300))
-    res = np.empty(m)
-    res[0] = 2.0 * n * (full[1] - full[0]) / h**2 + f[0]
-    drift = _drift(space, grid)
-    res[1:] = ((full[2:m + 1] - 2.0 * full[1:m] + full[0:m - 1]) / h**2
-               + drift * (full[2:m + 1] - full[0:m - 1]) / (2.0 * h) + f[1:m])
-    return res
+def _residual(space, spec, grid: RadialGrid, drift: np.ndarray, full: np.ndarray):
+    """Residual rows of the discrete operator for lanes of nodal values.
 
-
-def _jacobian_banded(space, spec, grid: RadialGrid, u: np.ndarray):
+    `full` is (lanes, m+1) with the boundary value last; f and f' at the
+    nodes come back with the residual, for the tolerance and the Jacobian.
+    """
     h, n = grid.h, space.n
-    m = len(grid.nodes) - 1
-    _, df, _ = nl.evaluate_many(spec, np.maximum(u, 1e-300))
-    lower = np.zeros(m)
-    diag = np.zeros(m)
-    upper = np.zeros(m)
-    diag[0] = -2.0 * n / h**2 + df[0]
-    upper[0] = 2.0 * n / h**2
-    drift = _drift(space, grid)
-    diag[1:] = -2.0 / h**2 + df[1:m]
-    lower[1:] = 1.0 / h**2 - drift / (2.0 * h)
-    upper[1:] = 1.0 / h**2 + drift / (2.0 * h)
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return ab
+    m = full.shape[1] - 1
+    f, df = nl.evaluate_many(spec, np.maximum(full, 1e-300))[:2]
+    res = np.empty((len(full), m))
+    res[:, 0] = 2.0 * n * (full[:, 1] - full[:, 0]) / h**2 + f[:, 0]
+    res[:, 1:] = ((full[:, 2:] - 2.0 * full[:, 1:m] + full[:, :m - 1]) / h**2
+                  + drift * (full[:, 2:] - full[:, :m - 1]) / (2.0 * h)
+                  + f[:, 1:m])
+    return res, f, df
 
 
 def solve_radial_bvp(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
                      R: float, boundary_value: float,
                      config: SolverConfig = SolverConfig()) -> SolutionProfile:
-    """Damped-Newton solution of the radial problem on [0, 2R]."""
-    from scipy.linalg import solve_banded
+    """Damped-Newton solution of the radial problem on [0, 2R]: the one-lane
+    case of `solve_radial_lanes`."""
+    return solve_radial_lanes(space, spec, R, [boundary_value], config)[0]
 
-    if boundary_value <= 0:
+
+def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
+                       R: float, boundary_values,
+                       config: SolverConfig = SolverConfig()) -> list[SolutionProfile]:
+    """Damped-Newton solutions of the radial problem on [0, 2R], one lane per
+    boundary value, all advanced in one loop.
+
+    Each lane keeps its own step length, positivity backtracking, floor-stall
+    exit, blow-up cap and MAX_ITER, and a converged lane is frozen, so every
+    profile is the one a solve of its value alone gives.  The Jacobians of the
+    active lanes form one tridiagonal system with zero entries between lanes,
+    solved by one LAPACK call per step.  If lanes fail, the error of the first
+    failing lane in value order is raised, as a loop over the values would.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    bvs = np.asarray(boundary_values, dtype=float)
+    if np.any(bvs <= 0):
         raise ValueError("boundary value must be positive")
     grid = RadialGrid.uniform(R, config.m)
-    m = config.m
-    u = np.full(m, boundary_value)
+    m, h, n = config.m, grid.h, space.n
+    drift = _drift(space, grid)
+    # Jacobian bands of one lane; its last row couples to the boundary value,
+    # not to the next lane, so the entries past it are zero
+    diag = np.full(m, -2.0 / h**2)
+    diag[0] = -2.0 * n / h**2
+    upper = np.zeros(m)
+    upper[0] = 2.0 * n / h**2
+    upper[1:-1] = (1.0 / h**2 + drift / (2.0 * h))[:-1]
+    lower = np.zeros(m)
+    lower[:-1] = 1.0 / h**2 - drift / (2.0 * h)
 
-    def roundoff_floor(vec):
+    def floor_of(u):
         # the difference operator cannot be evaluated below a few ulps of u/h^2
-        return 10.0 * np.finfo(float).eps * float(np.max(vec)) / grid.h**2
+        return 10.0 * np.finfo(float).eps * np.max(u, axis=1) / h**2
 
-    def tol_of(vec):
-        f, _, _ = nl.evaluate_many(spec, np.maximum(vec, 1e-300))
-        scale = max(1.0, float(np.max(np.abs(f))))
-        return config.tol * scale + roundoff_floor(vec)
+    def evaluate(u, bv):
+        """Residual, its norm, the tolerance and f' of each lane."""
+        res, f, df = _residual(space, spec, grid, drift,
+                               np.concatenate([u, bv[:, None]], axis=1))
+        scale = np.maximum(1.0, np.max(np.abs(f[:, :m]), axis=1))
+        return (res, np.max(np.abs(res), axis=1),
+                config.tol * scale + floor_of(u), df[:, :m])
 
-    res = _pde_residual(space, spec, grid, u, boundary_value)
-    norm = float(np.max(np.abs(res)))
-    converged = norm <= tol_of(u)
+    # results by lane; `lanes` maps the active rows below to their values
+    full = np.repeat(bvs[:, None], m + 1, axis=1)
+    norms = np.empty(bvs.size)
+    steps = np.zeros(bvs.size, dtype=int)
+    failure = None
+
+    def settle(sel):
+        full[lanes[sel], :m] = u[sel]
+        norms[lanes[sel]] = norm[sel]
+        steps[lanes[sel]] = iters
+
+    def fail(bad, error):
+        """Record the first bad lane's error; only lanes before it matter now."""
+        nonlocal failure
+        first = int(np.argmax(bad))
+        failure = error
+        return np.arange(bad.size) < first
+
+    lanes, bv = np.arange(bvs.size), bvs
+    u = full[:, :m].copy()
+    res, norm, tol, df = evaluate(u, bv)
+    live = np.ones(bvs.size, dtype=bool)
     iters = 0
-    while not converged:
-        if iters >= MAX_ITER:
-            raise NoConvergence(f"residual {norm:.3e} after {iters} iterations")
-        ab = _jacobian_banded(space, spec, grid, u)
-        step = solve_banded((1, 1), ab, -res)
+    while True:
+        done = live & (norm <= tol)
+        settle(done)
+        live &= ~done
+        if iters >= MAX_ITER and live.any():
+            i = int(np.argmax(live))
+            live &= fail(live, _no_convergence(space, spec, R, m, bv[i],
+                                               norm[i], iters))
+        d = diag + df
+        # a non-finite row would leak into its neighbour lanes through the
+        # zero coupling entries; alone it fails the solver's input check
+        broken = live & ~(np.isfinite(norm) & np.isfinite(d).all(axis=1))
+        if broken.any():
+            live &= fail(broken, ValueError("array must not contain infs or NaNs"))
+        if not live.all():
+            lanes, bv, u, res, norm, tol, df, d = (
+                a[live] for a in (lanes, bv, u, res, norm, tol, df, d))
+        if not lanes.size:
+            break
+        k = lanes.size
+        # the step overwrites the residual: no lane needs it any more, and an
+        # accepted lane brings its own with its f'
+        np.negative(res, out=res)
+        step, info = dgtsv(np.tile(lower, k)[:-1], d.ravel(),
+                           np.tile(upper, k)[:-1], res.ravel(), 1, 1, 1, 1)[3:]
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
+        step = step.reshape(k, m)
+        del d
+        res, df = np.empty((k, m)), np.empty((k, m))
+
+        # every lane halves its step from 1 until it is accepted, so the
+        # lanes still pending in a round share one step length t
+        accepted = np.zeros(k, dtype=bool)
         t = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACK):
             cand = u + t * step
-            if np.min(cand) > 0:
-                cand_res = _pde_residual(space, spec, grid, cand, boundary_value)
-                cand_norm = float(np.max(np.abs(cand_res)))
-                if cand_norm < norm or cand_norm <= tol_of(cand):
-                    u, res, norm = cand, cand_res, cand_norm
-                    accepted = True
+            tried = ~accepted & (np.min(cand, axis=1) > 0)
+            if tried.any():
+                whole = tried.all()
+                sel = slice(None) if whole else tried
+                c_res, c_norm, c_tol, c_df = evaluate(cand[sel], bv[sel])
+                ok = (c_norm < norm[sel]) | (c_norm <= c_tol)
+                if whole and ok.all():
+                    u, res, norm, tol, df = cand, c_res, c_norm, c_tol, c_df
+                    accepted[:] = True
+                    break
+                took = np.flatnonzero(tried)[ok]
+                u[took], res[took], norm[took], tol[took], df[took] = (
+                    cand[sel][ok], c_res[ok], c_norm[ok], c_tol[ok], c_df[ok])
+                accepted[took] = True
+                if accepted.all():
                     break
             t /= 2.0
-        if not accepted:
-            if norm <= 5.0 * roundoff_floor(u):
-                break  # stalled at the evaluation floor: as converged as it gets
-            raise PositivityLost("no positive iterate with residual decrease")
-        if np.max(u) > BLOWUP_FACTOR * boundary_value:
-            raise BlowUp("solution norm exceeded the blow-up cap")
-        iters += 1
-        converged = norm <= tol_of(u)
 
-    full = np.concatenate([u, [boundary_value]])
-    du, d2u = _fd_derivatives(full, grid.h)
-    return SolutionProfile(grid, full, du, d2u, space, spec, boundary_value,
-                           norm, {"newton_iterations": iters, "m": m, "R": R})
+        live = accepted
+        if not accepted.all():
+            # stalled at the evaluation floor: as converged as it gets
+            stalled = ~accepted & (norm <= 5.0 * floor_of(u))
+            settle(stalled)
+            lost = ~accepted & ~stalled
+            if lost.any():
+                live = live & fail(lost, PositivityLost(
+                    "no positive iterate with residual decrease"))
+        blown = live & (np.max(u, axis=1) > BLOWUP_FACTOR * bv)
+        if blown.any():
+            live &= fail(blown, BlowUp("solution norm exceeded the blow-up cap"))
+        iters += 1
+
+    if failure is not None:
+        raise failure
+    du, d2u = _fd_derivatives(full, h)
+    return [SolutionProfile(grid, full[j], du[j], d2u[j], space, spec,
+                            float(bvs[j]), float(norms[j]),
+                            {"newton_iterations": int(steps[j]), "m": m, "R": R})
+            for j in range(bvs.size)]
+
+
+def _no_convergence(space, spec, R, m, bv, norm, iters) -> NoConvergence:
+    """NoConvergence, naming the branch maximum when bv lies above it."""
+    message = f"residual {norm:.3e} after {iters} iterations"
+    top = _branch_maximum(space, spec, R, m)
+    if bv > top:
+        message = (f"no solution: boundary value {bv:.6g} exceeds the branch "
+                   f"maximum {top:.6g} ({message})")
+    return NoConvergence(message)
+
+
+def _branch_maximum(space, spec, R, m) -> float:
+    """Largest boundary value of the discrete equations on an m-interval grid.
+
+    The coarse march over BRANCH_CENTRES brackets the top between the
+    neighbours of its best centre (the grid moves the top's centre by
+    O(h^2) only), and a march over REFINE_CENTRES inside that bracket on
+    the m-interval grid gives the maximum.
+    """
+    reach = march_boundary_values(space, spec, R, BRANCH_GRID, BRANCH_CENTRES)
+    i = int(np.argmax(reach))
+    lo, hi = BRANCH_CENTRES[max(i - 1, 0):i + 2][[0, -1]]
+    fine = march_boundary_values(space, spec, R, m,
+                                 np.geomspace(lo, hi, REFINE_CENTRES))
+    return float(np.max(fine))
 
 
 def march_boundary_values(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
@@ -218,12 +330,14 @@ def march_boundary_values(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
 
 
 def _fd_derivatives(u: np.ndarray, h: float):
-    """Second-order one-sided/centered derivative tables on the uniform grid."""
-    du = np.gradient(u, h, edge_order=2)
+    """Second-order one-sided/centered derivative tables on the uniform grid,
+    along the last axis."""
+    du = np.gradient(u, h, axis=-1, edge_order=2)
     d2u = np.empty_like(u)
-    d2u[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-    d2u[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
-    d2u[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
+    d2u[..., 1:-1] = (u[..., 2:] - 2 * u[..., 1:-1] + u[..., :-2]) / h**2
+    d2u[..., 0] = (2 * u[..., 0] - 5 * u[..., 1] + 4 * u[..., 2] - u[..., 3]) / h**2
+    d2u[..., -1] = (2 * u[..., -1] - 5 * u[..., -2] + 4 * u[..., -3]
+                    - u[..., -4]) / h**2
     return du, d2u
 
 

@@ -29,10 +29,6 @@ from .errors import HypothesisViolation
 INTERP_TOL = 1e-8     # relative slack of the gradient -> Harnack arrow
 RUNG_BASE = 0.1       # boundary values of the sweep's top are RUNG_BASE * 2^k,
 RUNGS = 40            # k < RUNGS
-MARCH_GRID = 128      # intervals of the march that finds the branch top
-# centre values u(0) of that march, log-spaced over RUNG_BASE * 2^(-RUNGS..RUNGS);
-# the lower half is there so that a branch peaking below RUNG_BASE is named
-MARCH_CENTRES = 1023
 
 
 def harnack_constant(C_L: float, K: float, R: float) -> float:
@@ -162,21 +158,28 @@ def boundary_sweep(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
     """Boundary values log-spaced below the top of the solution branch, with
     their Newton profiles on an m-interval grid.
 
-    The top is the largest boundary value of one coarse march from the
-    centre (`pdelab.march_boundary_values`); the values run from `lo` to 0.9
-    times the largest rung RUNG_BASE * 2^k (k < RUNGS) below it.  A solver
-    error on a corpus value propagates.
+    One coarse march from the centre (`pdelab.march_boundary_values` over
+    `pdelab.BRANCH_CENTRES` on a `pdelab.BRANCH_GRID` grid) samples the
+    branch.  The values run from `lo`,
+    which must not lie below the smallest boundary value of that march, to
+    0.9 times the largest rung RUNG_BASE * 2^k (k < RUNGS) below its top.
+    All values are solved in one lane solve; a solver error on a corpus
+    value propagates.
     """
-    centres = RUNG_BASE * np.geomspace(2.0**-RUNGS, 2.0**RUNGS, MARCH_CENTRES)
-    top = float(np.max(pde.march_boundary_values(space, spec, R, MARCH_GRID,
-                                                 centres)))
+    reach = pde.march_boundary_values(space, spec, R, pde.BRANCH_GRID,
+                                      pde.BRANCH_CENTRES)
+    top = float(np.max(reach))
     if top < RUNG_BASE:
         raise HypothesisViolation(f"the solution branch peaks at boundary value "
                                   f"{top:.6g}, below {RUNG_BASE:g}")
+    bottom = float(np.min(reach[reach > 0]))
+    if lo < bottom:
+        raise HypothesisViolation(f"the sweep starts at {lo:g}, below "
+                                  f"{bottom:.6g}, the smallest boundary value "
+                                  f"of the centre march")
     rung = max(RUNG_BASE * 2.0**k for k in range(RUNGS)
                if RUNG_BASE * 2.0**k <= top)
     values = np.geomspace(lo, 0.9 * rung, count)
-    config = pde.SolverConfig(m=m)
-    profiles = [pde.solve_radial_bvp(space, spec, R, float(bv), config)
-                for bv in values]
+    profiles = pde.solve_radial_lanes(space, spec, R, values,
+                                      pde.SolverConfig(m=m))
     return values, profiles

@@ -94,6 +94,17 @@ def test_solve_command_csv(tmp_path):
     assert out.with_suffix(".plot.csv").exists()
 
 
+def test_solve_above_the_branch_names_its_maximum(tmp_path, capsys):
+    # flat:4 at R = 1: the Lane-Emden branch folds at boundary value 0.8587
+    out = tmp_path / "prof.csv"
+    assert run(["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
+                "--bv", "0.9", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failure: no solution: boundary value 0.9 "
+                          "exceeds the branch maximum 0.8587")
+    assert not out.exists()
+
+
 def test_certify_command_exit_codes(tmp_path):
     out = tmp_path / "cert.json"
     assert run(["certify", "--f", "power:2", "--N", "4", "--theorem", "1.3",
@@ -216,6 +227,8 @@ run_all(["indices", "--f", "power:2", "--N", "5", "--out", "i.json"],
          "--out", "c.json"])
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, sorted(loaded)[:3]
+solver = {"ellab.acceptance", "ellab.pdelab", "ellab.relations"} & set(sys.modules)
+assert not solver, sorted(solver)
 run_all(["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
          "--bv", "0.5", "--grid", "128", "--out", "p.csv"],
         ["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",

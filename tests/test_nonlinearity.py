@@ -182,6 +182,16 @@ def test_custom_handle_failure():
         nl.evaluate_many(bad, np.array([1.0]))
 
 
+def test_custom_evaluates_lanes_of_any_shape():
+    spec = nl.custom(lambda t: t**2 + t**3, lambda t: 2 * t + 3 * t**2,
+                     lambda t: 2 + 6 * t, positive=True)
+    lanes = np.geomspace(1e-2, 1e2, 12).reshape(3, 4)
+    flat = nl.evaluate_many(spec, lanes.ravel())
+    for got, want in zip(nl.evaluate_many(spec, lanes), flat):
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, want.reshape(3, 4))
+
+
 def test_critical_exponents_rho_needs_dimension_above_one():
     with pytest.raises(RhoUndefined):
         nl.critical_exponents(1.0, 2.0)

@@ -63,8 +63,8 @@ def test_solver_positivity_floor():
 
 def test_solver_residual_contract():
     prof = lane_emden_profile()
-    res = pde._pde_residual(prof.space, prof.spec, prof.grid,
-                            prof.u[:-1], prof.boundary_value)
+    res, _, _ = pde._residual(prof.space, prof.spec, prof.grid,
+                              pde._drift(prof.space, prof.grid), prof.u[None])
     f, _, _ = nl.evaluate_many(prof.spec, prof.u)
     scale = max(1.0, float(np.max(np.abs(f))))
     floor = 100 * np.finfo(float).eps * float(np.max(prof.u)) / prof.grid.h**2
@@ -94,6 +94,18 @@ def test_march_zeroes_lanes_without_a_positive_solution():
 def test_supercritical_data_fails():
     with pytest.raises((BlowUp, NoConvergence, pde.PositivityLost)):
         pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 50.0, pde.SolverConfig(m=256))
+
+
+@pytest.mark.parametrize("values", [[0.5, 50.0, 0.6], [0.5, 50.0, 0.9, 0.6]])
+def test_lane_failure_is_the_first_failing_value(values):
+    # a loop over the values would stop at 50, which has no solution; 0.9
+    # fails sooner in the loop's steps but later in value order
+    with pytest.raises(NoConvergence) as alone:
+        pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 50.0, pde.SolverConfig(m=256))
+    with pytest.raises(type(alone.value)) as batch:
+        pde.solve_radial_lanes(FLAT4, LANE_EMDEN, 1.0, values,
+                               pde.SolverConfig(m=256))
+    assert str(batch.value) == str(alone.value)
 
 
 def test_rejects_nonpositive_boundary():

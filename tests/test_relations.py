@@ -133,10 +133,36 @@ def test_boundary_sweep_names_the_branch_maximum():
         rel.boundary_sweep(FLAT4, LANE_EMDEN, 10.0, 512, 1e-3)
 
 
+def test_boundary_sweep_names_the_march_minimum():
+    # f = t + 2 sqrt(t): marched lanes live only from u(0) of about 1.15 up,
+    # and none reaches a boundary value below about 0.0031
+    spec = nl.lichnerowicz(1, 0, 3, 2, 0.5)
+    with pytest.raises(HypothesisViolation, match=r"starts at 0\.001, below 0\.0031"):
+        rel.boundary_sweep(FLAT4, spec, 1.0, 512, 1e-3)
+
+
+@pytest.mark.parametrize("space,spec", [
+    (ms.flat(3), LANE_EMDEN),
+    (FLAT4, LANE_EMDEN),
+    (ms.appendix_space(5.0, 2.0, 1.0).space, LANE_EMDEN),
+    (FLAT4, nl.power_sum([(1, 2), (1, 2.5)])),
+])
+@pytest.mark.parametrize("m", [512, 777, 2048])
+def test_boundary_sweep_profiles_equal_one_value_solves(space, spec, m):
+    values, corpus = rel.boundary_sweep(space, spec, 1.0, m, 1e-3)
+    for bv, lane in zip(values, corpus):
+        alone = pde.solve_radial_bvp(space, spec, 1.0, float(bv),
+                                     pde.SolverConfig(m=m))
+        for name in ("u", "du", "d2u"):
+            assert np.array_equal(getattr(lane, name), getattr(alone, name))
+        assert lane.residual_norm == alone.residual_norm
+        assert lane.meta == alone.meta
+
+
 def test_boundary_sweep_propagates_corpus_solver_errors(monkeypatch):
-    def solve(space, spec, R, bv, config):
+    def solve(space, spec, R, values, config):
         raise NoConvergence("no profile")
 
-    monkeypatch.setattr(pde, "solve_radial_bvp", solve)
+    monkeypatch.setattr(pde, "solve_radial_lanes", solve)
     with pytest.raises(NoConvergence):
         rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 512, 1e-3)
