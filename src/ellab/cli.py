@@ -154,14 +154,17 @@ def cmd_solve(args) -> int:
     prof = pde.solve_radial_bvp(space, spec, args.R, args.bv, cfg)
     header, cols = pde.profile_table(prof)
     path = Path(args.out) if args.out else Path("profile.csv")
-    reporting.write_csv(path, header, cols)
+    plot_path = path.with_suffix(".plot.csv")
+    tables = [(path, header, cols)]
+    if args.emit_plot_data:
+        # the plot's diagnostic is the profile's Q column
+        plot = [cols[header.index(name)] for name in ("r", "Q")]
+        tables.append((plot_path, ["r", "diag"], plot))
+    reporting.write_csv_tables(tables)
     print(f"wrote {path} (residual {prof.residual_norm:.3e}, "
           f"{prof.meta['newton_iterations']} Newton steps)")
     if args.emit_plot_data:
-        q = pde.estimate_quantity(prof, spec)
-        reporting.write_csv(path.with_suffix(".plot.csv"), ["r", "diag"],
-                            [prof.r, q])
-        print(f"wrote {path.with_suffix('.plot.csv')}")
+        print(f"wrote {plot_path}")
     return 0
 
 

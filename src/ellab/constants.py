@@ -122,11 +122,6 @@ def Q_value(x: float, beta: float, d: float, N: float) -> float:
             + (d / beta**2) * (x - beta) * (x - 1.0 - beta))
 
 
-def q_axis(beta: float, d: float) -> float:
-    """Symmetry axis of the parabola: 1/2 + beta + beta^2/d."""
-    return 0.5 + beta + beta**2 / d
-
-
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -165,8 +165,10 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
 
     def evaluate(u, bv):
         """Residual, its norm, the tolerance and f' of each lane."""
-        res, f, df = _residual(space, spec, grid, drift,
-                               np.concatenate([u, bv[:, None]], axis=1))
+        # an overflowing lane fails by name at the top of the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            res, f, df = _residual(space, spec, grid, drift,
+                                   np.concatenate([u, bv[:, None]], axis=1))
         scale = np.maximum(1.0, np.max(np.abs(f[:, :m]), axis=1))
         return (res, np.max(np.abs(res), axis=1),
                 config.tol * scale + floor_of(u), df[:, :m])
@@ -195,17 +197,26 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
     live = np.ones(bvs.size, dtype=bool)
     iters = 0
     while True:
+        # an overflowing f makes the tolerance infinite too, so the residual
+        # would pass it
+        overflow = live & ~(np.isfinite(norm) & np.isfinite(tol))
+        if overflow.any():
+            i = int(np.argmax(overflow))
+            live &= fail(overflow, BlowUp(
+                f"the residual overflows at boundary value {bv[i]:.6g} "
+                f"(residual {norm[i]:.3e}, tolerance {tol[i]:.3e})"))
         done = live & (norm <= tol)
         settle(done)
         live &= ~done
         if iters >= MAX_ITER and live.any():
             i = int(np.argmax(live))
-            live &= fail(live, _no_convergence(space, spec, R, m, bv[i],
-                                               norm[i], iters))
+            live &= fail(live, _no_solution(
+                NoConvergence, space, spec, R, m, bv[i],
+                f"residual {norm[i]:.3e} after {iters} iterations"))
         d = diag + df
         # a non-finite row would leak into its neighbour lanes through the
         # zero coupling entries; alone it fails the solver's input check
-        broken = live & ~(np.isfinite(norm) & np.isfinite(d).all(axis=1))
+        broken = live & ~np.isfinite(d).all(axis=1)
         if broken.any():
             live &= fail(broken, ValueError("array must not contain infs or NaNs"))
         if not live.all():
@@ -256,7 +267,8 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
             settle(stalled)
             lost = ~accepted & ~stalled
             if lost.any():
-                live = live & fail(lost, PositivityLost(
+                live = live & fail(lost, _no_solution(
+                    PositivityLost, space, spec, R, m, bv[int(np.argmax(lost))],
                     "no positive iterate with residual decrease"))
         blown = live & (np.max(u, axis=1) > BLOWUP_FACTOR * bv)
         if blown.any():
@@ -272,14 +284,14 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
             for j in range(bvs.size)]
 
 
-def _no_convergence(space, spec, R, m, bv, norm, iters) -> NoConvergence:
-    """NoConvergence, naming the branch maximum when bv lies above it."""
-    message = f"residual {norm:.3e} after {iters} iterations"
+def _no_solution(error, space, spec, R, m, bv, message):
+    """A failed lane's `error`, naming the branch maximum when bv lies
+    above it; only failing solves pay for the march."""
     top = _branch_maximum(space, spec, R, m)
     if bv > top:
         message = (f"no solution: boundary value {bv:.6g} exceeds the branch "
                    f"maximum {top:.6g} ({message})")
-    return NoConvergence(message)
+    return error(message)
 
 
 def _branch_maximum(space, spec, R, m) -> float:
@@ -350,16 +362,6 @@ def exact_profile(aspace: ms.AppendixSpace, R: float, m: int = 2048) -> Solution
     return SolutionProfile(grid, u, du, d2u, aspace.space, spec,
                            float(u[-1]), float(np.max(np.abs(res))),
                            {"exact": True, "mu": aspace.mu, "R": R})
-
-
-def constant_profile(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
-                     R: float, value: float, m: int = 256) -> SolutionProfile:
-    grid = RadialGrid.uniform(R, m)
-    u = np.full(m + 1, float(value))
-    z = np.zeros(m + 1)
-    f, _, _ = nl.evaluate_many(spec, np.array([value]))
-    return SolutionProfile(grid, u, z, z, space, spec, float(value),
-                           float(abs(f[0])), {"constant": True, "R": R})
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +541,6 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
     ratio = measured / bound if bound > 0 else math.inf
     return EstimateReport(kind, measured, bound, ratio, measured <= bound,
                           {"C": C, "theorem": cert.theorem}, details)
-
-
-def epsilon_sweep(profile: SolutionProfile, cert: Certificate, K: float,
-                  R: float, kind: str = "eps-I", count: int = 13) -> list[EstimateReport]:
-    """Window-estimate reports over log-spaced eps in [1e-6, 1] u(0), plus the
-    eps solving f(L eps)/(L eps) = K + 1/R^2 when that root exists."""
-    u0 = float(profile.u[0])
-    eps_values = list(np.geomspace(1e-6 * u0, u0, count))
-    L = cert.chi_L if cert.chi_L else 1.0
-    try:
-        eps_values.append(choose_epsilon(profile.spec, L, K, R))
-    except NoRoot:
-        pass
-    return [check_estimate(profile, cert, K, R, kind, eps=float(e))
-            for e in eps_values]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ which the golden-file regression tests rely on.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import math
+from collections import Counter
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -112,18 +115,57 @@ CSV_BLOCK = 256
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Plain CSV with the same float formatting as the JSON reports.
+    """Plain CSV with the same float formatting as the JSON reports: the
+    one-table case of `write_csv_tables`."""
+    write_csv_tables([(path, header, columns)])
 
-    Rows are formatted a block at a time with one repeated row format:
-    "%.17g" for a float column, "%s" otherwise.
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two columns print the same: the same object, or float64
+    columns of equal bits (-0.0 == 0.0, but they print "-0" and "0")."""
+    return a is b or (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+                      and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def write_csv_tables(tables) -> None:
+    """Write CSV tables over the same rows in one pass.
+
+    `tables` holds (path, header, columns) triples.  Rows are formatted a
+    block at a time with one repeated row format per table: "%.17g" for a
+    float column, "%s" otherwise.  A float column used more than once, in
+    one table or across tables, is formatted once per block with "%.17g",
+    and its strings are reused through "%s".
     """
-    columns = [np.asarray(col) for col in columns]
-    row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns)
-    rows = len(columns[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    distinct: list[np.ndarray] = []
+    picks = []          # per table, the index in `distinct` of each column
+    for _, _, columns in tables:
+        pick = []
+        for col in map(np.asarray, columns):
+            j = next((j for j, seen in enumerate(distinct)
+                      if _same_bits(col, seen)), len(distinct))
+            if j == len(distinct):
+                distinct.append(col)
+            pick.append(j)
+        picks.append(pick)
+    uses = Counter(chain.from_iterable(picks))
+    floats = [col.dtype.kind == "f" for col in distinct]
+    shared = [j for j, is_float in enumerate(floats) if is_float and uses[j] > 1]
+    formats = [",".join("%.17g" if floats[j] and uses[j] == 1 else "%s"
+                        for j in pick) + "\n" for pick in picks]
+    lengths = {len(distinct[pick[0]]) for pick in picks}
+    if len(lengths) != 1:
+        raise ValueError(f"tables must have the same rows, got {sorted(lengths)}")
+    rows = lengths.pop()
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8"))
+                 for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK):
-            block = [col[start:start + CSV_BLOCK].tolist() for col in columns]
+            block = [col[start:start + CSV_BLOCK].tolist() for col in distinct]
             n = len(block[0])
-            cells = [v for cell_row in zip(*block) for v in cell_row]
-            fh.write(((row + "\n") * n) % tuple(cells))
+            for j in shared:
+                block[j] = (",".join(("%.17g",) * n) % tuple(block[j])).split(",")
+            for fh, fmt, pick in zip(files, formats, picks):
+                cells = chain.from_iterable(zip(*(block[j] for j in pick)))
+                fh.write((fmt * n) % tuple(cells))

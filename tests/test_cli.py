@@ -91,18 +91,35 @@ def test_solve_command_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "r,u,du,Q,F,G"
     assert len(lines) == 130
-    assert out.with_suffix(".plot.csv").exists()
+    # the plot data is the profile's r and Q columns, cell for cell
+    cells = [line.split(",") for line in lines]
+    r, q = cells[0].index("r"), cells[0].index("Q")
+    assert out.with_suffix(".plot.csv").read_text().splitlines() == (
+        ["r,diag"] + [f"{row[r]},{row[q]}" for row in cells[1:]])
 
 
-def test_solve_above_the_branch_names_its_maximum(tmp_path, capsys):
+# the default grid ends in NoConvergence, 4096 in PositivityLost
+@pytest.mark.parametrize("grid", ["1024", "4096"])
+def test_solve_above_the_branch_names_its_maximum(tmp_path, capsys, grid):
     # flat:4 at R = 1: the Lane-Emden branch folds at boundary value 0.8587
     out = tmp_path / "prof.csv"
     assert run(["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
-                "--bv", "0.9", "--out", str(out)]) == 1
+                "--bv", "0.9", "--grid", grid, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failure: no solution: boundary value 0.9 "
                           "exceeds the branch maximum 0.8587")
     assert not out.exists()
+
+
+def test_solve_names_an_overflowing_residual(tmp_path, capsys):
+    # f = t^2 overflows at 1e160, and with it the residual's tolerance
+    out = tmp_path / "prof.csv"
+    assert run(["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
+                "--bv", "1e160", "--out", str(out), "--emit-plot-data"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failure: the residual overflows at boundary "
+                          "value 1e+160")
+    assert not out.exists() and not out.with_suffix(".plot.csv").exists()
 
 
 def test_certify_command_exit_codes(tmp_path):

@@ -123,22 +123,27 @@ def test_H_negative_radicand_raises():
 
 # --- parabola ---------------------------------------------------------------
 
+def q_axis(beta, d):
+    """Symmetry axis of the parabola Q_value: 1/2 + beta + beta^2/d."""
+    return 0.5 + beta + beta**2 / d
+
+
 def test_q_axis_identity_and_threshold():
     N, lam, beta = 5.0, 2.0, 0.5
     d0 = 2 * beta**2 / (N * (lam - 1 - beta))
     assert d0 == pytest.approx(0.2)
-    assert ct.q_axis(beta, d0) == pytest.approx(2.25)
-    assert ct.q_axis(beta, d0) == pytest.approx(0.5 + beta + N * (lam - 1 - beta) / 2)
+    assert q_axis(beta, d0) == pytest.approx(2.25)
+    assert q_axis(beta, d0) == pytest.approx(0.5 + beta + N * (lam - 1 - beta) / 2)
     # axis >= lam exactly when beta <= lam - (N-1)/(N-2)
     for b in np.linspace(0.05, 0.95, 19):
         d0b = 2 * b**2 / (N * (lam - 1 - b))
         if d0b > 0:
-            assert (ct.q_axis(b, d0b) >= lam) == (b <= lam - (N - 1) / (N - 2) + 1e-12)
+            assert (q_axis(b, d0b) >= lam) == (b <= lam - (N - 1) / (N - 2) + 1e-12)
 
 
 def test_q_minimum_at_axis():
     beta, d, N = 0.5, 0.1, 5.0
-    axis = ct.q_axis(beta, d)
+    axis = q_axis(beta, d)
     xs = np.linspace(axis - 3, axis + 3, 301)
     vals = [ct.Q_value(x, beta, d, N) for x in xs]
     assert min(vals) == pytest.approx(ct.Q_value(axis, beta, d, N), abs=1e-9)

@@ -9,7 +9,14 @@ from ellab import constants as ct
 from ellab import modelspace as ms
 from ellab import nonlinearity as nl
 from ellab import pdelab as pde
-from ellab.errors import BlowUp, KindMismatch, NoConvergence, NoRoot, RangeViolation
+from ellab.errors import (
+    BlowUp,
+    KindMismatch,
+    NoConvergence,
+    NoRoot,
+    PositivityLost,
+    RangeViolation,
+)
 
 FLAT4 = ms.flat(4)
 LANE_EMDEN = nl.power(2.0)
@@ -17,6 +24,16 @@ LANE_EMDEN = nl.power(2.0)
 
 def lane_emden_profile(bv=0.5, m=512, R=1.0):
     return pde.solve_radial_bvp(FLAT4, LANE_EMDEN, R, bv, pde.SolverConfig(m=m))
+
+
+def constant_profile(spec, value, m=256):
+    """u = value on FLAT4 over [0, 2]: a solution only where f(value) = 0."""
+    grid = pde.RadialGrid.uniform(1.0, m)
+    u = np.full(m + 1, float(value))
+    z = np.zeros(m + 1)
+    f, _, _ = nl.evaluate_many(spec, np.array([value]))
+    return pde.SolutionProfile(grid, u, z, z, FLAT4, spec, float(value),
+                               float(abs(f[0])), {"constant": True, "R": 1.0})
 
 
 # --- solver -----------------------------------------------------------------
@@ -108,6 +125,13 @@ def test_lane_failure_is_the_first_failing_value(values):
     assert str(batch.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("m, error", [(1024, NoConvergence), (4096, PositivityLost)])
+def test_no_solution_keeps_its_error_type(m, error):
+    # bv = 0.9 lies above the fold of flat:4 at R = 1; each path names it
+    with pytest.raises(error, match="exceeds the branch maximum 0.858716"):
+        pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 0.9, pde.SolverConfig(m=m))
+
+
 def test_rejects_nonpositive_boundary():
     with pytest.raises(ValueError):
         pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 0.0)
@@ -117,7 +141,7 @@ def test_rejects_nonpositive_boundary():
 
 def test_diagnostics_constant_profile():
     spec = nl.power(2.0)
-    prof = pde.constant_profile(FLAT4, spec, 1.0, 3.0)
+    prof = constant_profile(spec, 3.0)
     dia = pde.diagnostics(prof, spec, pde.DiagnosticParams(beta=0.5, d=1.0))
     assert np.allclose(dia.x, 0.0)
     assert np.allclose(dia.Q, 3.0)  # f(c)/c = c for the quadratic power
@@ -196,7 +220,7 @@ def test_estimate_appendix_large_ball_ratio():
 
 def test_estimate_constant_allen_cahn_zero_gradient():
     spec = nl.lichnerowicz(1, 1, 3, 0, 0.5)
-    prof = pde.constant_profile(FLAT4, spec, 1.0, 1.0)
+    prof = constant_profile(spec, 1.0)
     cert = ct.synthesize(4.0, nl.compute_indices(spec), "8", spec=spec)
     rep = pde.check_estimate(prof, cert, 0.0, 1.0, "gradient-weak")
     assert rep.measured == 0.0
@@ -232,8 +256,15 @@ def test_epsilon_sweep_all_pass():
     cert = ct.synthesize(5.0, nl.compute_indices(spec), "1.7")
     asp = ms.appendix_space(5.0, 2.0, 1.0)
     prof = pde.exact_profile(asp, 1.0, 512)
+    # log-spaced eps in [1e-6, 1] u(0), plus the eps solving
+    # f(L eps)/(L eps) = K + 1/R^2
+    u0 = float(prof.u[0])
+    L = cert.chi_L if cert.chi_L else 1.0
+    eps_values = [*np.geomspace(1e-6 * u0, u0, 13),
+                  pde.choose_epsilon(prof.spec, L, asp.K, 1.0)]
     for kind in ("eps-I", "eps-II"):
-        reports = pde.epsilon_sweep(prof, cert, asp.K, 1.0, kind)
+        reports = [pde.check_estimate(prof, cert, asp.K, 1.0, kind, eps=float(e))
+                   for e in eps_values]
         assert len(reports) == 14  # 13 sweep values plus the balancing root
         assert all(r.passed for r in reports)
 
@@ -300,7 +331,7 @@ def test_defect_constant_profile_sign_bookkeeping():
     # u = c with f(c) > 0 is not a solution; the checker must still evaluate
     # the full signed right side, which reduces to the pure y^2 term
     spec = nl.power(2.0)
-    prof = pde.constant_profile(FLAT4, spec, 1.0, 2.0)
+    prof = constant_profile(spec, 2.0)
     params = pde.DiagnosticParams(beta=0.5, gamma=1.0, d=0.3, eps=0.1)
     rep = pde.verify_elliptic_inequality(prof, params, "F", 0.0)
     _, _, W = ct.coeffs_first_kind(4.0, 0.5, 1.0, 0.3, 2.0, 0.1, 2.0, 2.0)

@@ -15,6 +15,12 @@ FLAT4 = ms.flat(4)
 LANE_EMDEN = nl.power(2.0)
 
 
+def allen_cahn_equilibrium():
+    # f = t - t^3 vanishes at 1, so the solver returns u = 1 exactly
+    spec = nl.lichnerowicz(1, 1, 3, 0, 0.5)
+    return spec, pde.solve_radial_bvp(FLAT4, spec, 1.0, 1.0, pde.SolverConfig(m=256))
+
+
 def small_corpus(count=6, m=512):
     _, corpus = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, m, 1e-2, count=count)
     return corpus
@@ -44,8 +50,7 @@ def test_harnack_constant_rejects_bad_args():
 # --- measured constants -------------------------------------------------------
 
 def test_measured_constants_constant_profile():
-    spec = nl.lichnerowicz(1, 1, 3, 0, 0.5)
-    prof = pde.constant_profile(FLAT4, spec, 1.0, 1.0)
+    _, prof = allen_cahn_equilibrium()
     mc = rel.measured_constants(prof, 0.0, 1.0)
     assert mc["C_L"] == 0.0
     assert mc["C_H"] == 1.0
@@ -83,8 +88,7 @@ def test_suite_includes_constant_and_exact_profiles():
 
 
 def test_suite_hypothesis_gate():
-    spec = nl.lichnerowicz(1, 1, 3, 0, 0.5)  # sign-changing, unbounded index
-    prof = pde.constant_profile(FLAT4, spec, 1.0, 1.0)
+    spec, prof = allen_cahn_equilibrium()  # sign-changing, unbounded index
     with pytest.raises(HypothesisViolation):
         rel.implication_suite([prof], 4.0, spec, 0.0, 1.0)
 

@@ -56,9 +56,19 @@ def test_write_csv(tmp_path):
     assert lines[1] == "1,0.5"
 
 
+def per_cell_csv(header, cols):
+    """The writers' reference: each cell formatted on its own,
+    format(v, ".17g") for a float and str(v) otherwise."""
+    lines = [",".join(header)]
+    for i in range(len(cols[0])):
+        lines.append(",".join(
+            format(float(col[i]), ".17g") if isinstance(col[i], np.floating)
+            else str(col[i]) for col in cols))
+    return "\n".join(lines) + "\n"
+
+
 def test_write_csv_matches_the_per_cell_format(tmp_path):
-    # the block writer must give the bytes of formatting cell by cell:
-    # format(v, ".17g") for a float, str(v) otherwise
+    # the block writer must give the bytes of formatting cell by cell
     rows = 4 * reporting.CSV_BLOCK + 3  # full blocks and a partial one
     floats = np.resize([1.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 0.1, 1 / 3],
                        rows)
@@ -66,12 +76,43 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
             np.linspace(-1.0, 1.0, rows)]
     path = tmp_path / "t.csv"
     reporting.write_csv(path, ["i", "x", "flag", "y"], cols)
-    expected = ["i,x,flag,y"]
-    for i in range(rows):
-        expected.append(",".join(
-            format(float(col[i]), ".17g") if isinstance(col[i], np.floating)
-            else str(col[i]) for col in cols))
-    assert path.read_text() == "\n".join(expected) + "\n"
-    assert [line.split(",")[1] for line in expected[1:7]] == [
+    expected = per_cell_csv(["i", "x", "flag", "y"], cols)
+    assert path.read_text() == expected
+    lines = expected.splitlines()
+    assert [line.split(",")[1] for line in lines[1:7]] == [
         "1", "-0", "nan", "inf", "-inf", "1.0000000000000001e+300"]
-    assert expected[1].split(",")[2] == "True"
+    assert lines[1].split(",")[2] == "True"
+
+
+@pytest.mark.parametrize("rows", [reporting.CSV_BLOCK - 1, reporting.CSV_BLOCK,
+                                  reporting.CSV_BLOCK + 1,
+                                  4 * reporting.CSV_BLOCK + 3])
+def test_write_csv_tables_match_the_per_cell_format(tmp_path, rows):
+    # r is shared as one object, q as one object and as an equal copy;
+    # zero and negzero differ only in the sign of their zeros, so they
+    # must not be merged: -0.0 == 0.0, but they print "-0" and "0"
+    r = np.linspace(0.0, 2.0, rows)
+    q = np.resize([0.1, np.nan, np.inf, -np.inf, 1 / 3, 1e300, 2.0], rows)
+    zero = np.resize([0.0, 2.5], rows)
+    negzero = np.where(zero == 0.0, -0.0, zero)
+    nan, inf = np.full(rows, np.nan), np.full(rows, np.inf)
+    ints = np.arange(rows)
+    tables = [
+        (tmp_path / "a.csv", ["r", "q", "zero", "i", "q2", "nan", "flag"],
+         [r, q, zero, ints, q.copy(), nan, ints % 3 == 0]),
+        (tmp_path / "b.csv", ["r", "diag", "negzero", "inf", "nan"],
+         [r, q, negzero, inf, nan.copy()]),
+        (tmp_path / "c.csv", ["negzero", "inf", "i", "y"],
+         [negzero, -(-inf), ints, np.linspace(-1.0, 1.0, rows)]),
+    ]
+    reporting.write_csv_tables(tables)
+    for path, header, cols in tables:
+        assert path.read_text() == per_cell_csv(header, cols)
+    assert (tmp_path / "b.csv").read_text().splitlines()[1].split(",")[2] == "-0"
+    assert (tmp_path / "a.csv").read_text().splitlines()[1].split(",")[2] == "0"
+
+
+def test_write_csv_tables_refuse_unequal_rows(tmp_path):
+    with pytest.raises(ValueError):
+        reporting.write_csv_tables([(tmp_path / "a.csv", ["x"], [np.zeros(3)]),
+                                    (tmp_path / "b.csv", ["x"], [np.zeros(4)])])
