@@ -127,7 +127,8 @@ def test_lane_failure_is_the_first_failing_value(values):
 
 @pytest.mark.parametrize("m, error", [(1024, NoConvergence), (4096, PositivityLost)])
 def test_no_solution_keeps_its_error_type(m, error):
-    # bv = 0.9 lies above the fold of flat:4 at R = 1; each path names it
+    # bv = 0.9 lies above the fold of flat:4 at R = 1: Newton runs out of
+    # steps at m = 1024 and of positive iterates at m = 4096; both name it
     with pytest.raises(error, match="exceeds the branch maximum 0.858716"):
         pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 0.9, pde.SolverConfig(m=m))
 
