@@ -204,9 +204,7 @@ def cmd_appendix(args) -> int:
         asp = ms.appendix_space(args.N, args.alpha, args.K)
     except (ValueError, InvalidAlpha) as exc:
         raise ConfigError(f"bad appendix space: {exc}") from exc
-    r = np.linspace(0.0, 100.0, 20001)
-    u, _, _, res = ms.appendix_solution(asp, r)
-    rel_res = float(np.max(np.abs(res)) / np.max(u**asp.alpha))
+    rel_res = ms.appendix_relative_residual(asp)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst_eig = ms.eigenvalue_deviation(asp.space, rng, 100)
     curv = ms.curvature_bound(asp.space, 50.0 * asp.mu)

@@ -36,9 +36,9 @@ certifies with strictly positive worst margin while a boundary tuple (for
 example beta at the admissibility edge) fails with margin ~ 0.
 
 The final constant of each estimate is existence-level: the cut-off function
-constants are folded into a single configurable envelope factor and the
-assembly is reported term by term, so enlarging the envelope never flips a
-pass into a fail.
+constants are folded into one fixed envelope factor (DEFAULT_ENVELOPE = 100)
+and the assembly is reported term by term, so enlarging the envelope never
+flips a pass into a fail.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ FLOOR_HEADROOM = 0.5          # floors are this fraction of the algebraic bound
 MARGIN_TOL = 1e-10            # a certification margin below this is a failure
 BISECT_REL = 1e-10            # relative width at which parameter searches stop
 
-DEFAULT_U_RANGE = (1e-6, 1e6)
+DEFAULT_U_RANGE = (1e-6, 1e6)    # the (u, eps) grid `certify` checks on
 DEFAULT_EPS_RANGE = (1e-6, 1.0)
+U_POINTS = 241
+EPS_POINTS = 41
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ class Certificate:
 
 
 def assemble_constant(L: float, beta: float, gamma: float, d: float,
-                      envelope: float) -> tuple[float, dict]:
+                      envelope: float = DEFAULT_ENVELOPE) -> tuple[float, dict]:
     """Existence-level estimate constant from the quadratic gain L.
 
     The maximum-point inequality gives sup A <= (2/L)(2K + cutoff terms); the
@@ -222,8 +224,7 @@ def _subcritical_target(N: float, upper: float) -> float:
     return (N + 3.0) / (N - 1.0) - upper
 
 
-def _synth_subcritical(N: float, idx: nl.IndexReport, theorem: str,
-                       envelope: float) -> Certificate:
+def _synth_subcritical(N: float, idx: nl.IndexReport, theorem: str) -> Certificate:
     """Joint (l, d) search from the origin for the strong gradient estimate.
 
     Feasibility is monotone along rays toward the origin, so a single
@@ -275,7 +276,7 @@ def _synth_subcritical(N: float, idx: nl.IndexReport, theorem: str,
     d = t_star * d_cap
     h_min = H_value(beta, d, l, N, upper, second)
     L = l / 2.0
-    C, breakdown = assemble_constant(L, beta, 0.0, d, envelope)
+    C, breakdown = assemble_constant(L, beta, 0.0, d)
     floors = {"U0": l, "V0": _floor_pair(min(h_min, target)), "W0": l}
     return Certificate(
         theorem=theorem, recipe="subcritical-amgm", kind="first", N=N,
@@ -309,8 +310,7 @@ def weak_recipe(N: float, alpha: float) -> dict:
 
 
 def _synth_weak(N: float, idx: nl.IndexReport, alpha: Optional[float],
-                envelope: float,
-                spec: Optional[nl.NonlinearitySpec] = None) -> Certificate:
+                spec: nl.NonlinearitySpec) -> Certificate:
     p = nl.p_threshold(N)
     if alpha is None:
         if not idx.upper_finite or idx.upper >= p:
@@ -325,7 +325,7 @@ def _synth_weak(N: float, idx: nl.IndexReport, alpha: Optional[float],
     if L <= 0:
         raise Infeasible("quadratic gain is nonpositive")
     W_const = 2.0 * beta**2 / N
-    C, breakdown = assemble_constant(L, beta, 0.0, 0.0, envelope)
+    C, breakdown = assemble_constant(L, beta, 0.0, 0.0)
     floors = {"U0": L, "V0": 0.0, "W0": _floor_pair(W_const)}
     cert = Certificate(
         theorem="1.5", recipe=f"weak-case{rec['case']}", kind="first", N=N,
@@ -334,30 +334,14 @@ def _synth_weak(N: float, idx: nl.IndexReport, alpha: Optional[float],
         L=L, chi_L=None, C=C, C_breakdown=breakdown, l=l, alpha=alpha,
         indices=idx.as_dict(),
     )
-    # cross floor: half the worst exchanged coefficient, evaluated on the
-    # default grid when the reaction is at hand, from the indices otherwise
-    if spec is not None:
-        u = np.geomspace(DEFAULT_U_RANGE[0], DEFAULT_U_RANGE[1], 257)
-        f, df, _ = nl.evaluate_many(spec, u)
-        mask = nl.ratio_mask(spec, u, f, df)
-        Vy, y = _cross_terms(cert, spec, u)
-        budget = math.sqrt(max((2.0 / N) * (1.0 + 1.0 / beta) ** 2 - 2.0 - L, 0.0)
-                           * W_const)
-        cross = Vy + 2.0 * budget * np.abs(y)
-        denom = np.maximum(np.where(mask, np.abs(y), 1.0), 1e-300)
-        floor0 = float(np.min(np.where(mask, cross / denom, np.inf)))
-    else:
-        if not idx.upper_finite:
-            raise HypothesisViolation(
-                "sign-changing reaction: supply the spec to locate the cross floor")
-        rad = (1.0 + beta) ** 2 - 0.5 * N * l * beta**2
-        g = (4.0 / N) * (1.0 + beta) + (4.0 / N) * math.sqrt(max(rad, 0.0)) + 2.0
-        floor0 = g - 2.0 * min(idx.upper, alpha)
+    # cross floor: half the worst exchanged coefficient per unit |y| on the
+    # default u-range
+    u = np.geomspace(DEFAULT_U_RANGE[0], DEFAULT_U_RANGE[1], 257)
+    _, _, cross, _, mask = amgm_slots(cert, spec, u)
+    floor0 = float(np.min(np.where(mask, cross, np.inf)))
     if floor0 <= 0:
         raise Infeasible("cross coefficient has no positive floor")
-    floors = dict(floors)
-    floors["V0"] = _floor_pair(floor0)
-    return replace(cert, floors=floors)
+    return replace(cert, floors={**floors, "V0": _floor_pair(floor0)})
 
 
 # --- recipe: eps-regularized window estimates -------------------------------
@@ -405,7 +389,7 @@ def _chi_constant_first(beta, d, V0, W0) -> float:
 
 
 def _synth_window_first(N: float, idx: nl.IndexReport, theorem: str,
-                        envelope: float, beta: Optional[float]) -> Certificate:
+                        beta: Optional[float] = None) -> Certificate:
     upper = idx.upper
     lo, hi = _window_interval_first(N, upper)
     if not lo < hi:
@@ -423,7 +407,7 @@ def _synth_window_first(N: float, idx: nl.IndexReport, theorem: str,
               "W0": _floor_pair(W_full)}
     chi_L = _chi_constant_first(b, d, floors["V0"], floors["W0"])
     L = min(floors["U0"], floors["V0"] / (2.0 * d), floors["W0"] / d**2)
-    C, breakdown = assemble_constant(L, b, 1.0, d, envelope)
+    C, breakdown = assemble_constant(L, b, 1.0, d)
     return Certificate(
         theorem=theorem, recipe="window-first", kind="first", N=N,
         beta=b, gamma=1.0, d=d, floors=floors,
@@ -435,7 +419,7 @@ def _synth_window_first(N: float, idx: nl.IndexReport, theorem: str,
 
 
 def _synth_window_second(N: float, idx: nl.IndexReport, theorem: str,
-                         envelope: float, beta: Optional[float]) -> Certificate:
+                         beta: Optional[float] = None) -> Certificate:
     upper, lower = idx.upper, idx.lower
     if not lower > 2:
         raise HypothesisViolation("second-kind route needs lower index > 2")
@@ -486,7 +470,7 @@ def _synth_window_second(N: float, idx: nl.IndexReport, theorem: str,
                 (d * b + 4.0 * b**2 / N) / floors["Z0"],
                 dip_Z - floors["Z0"])
     L = min(floors["X0"], floors["Y0"] / (2.0 * d), floors["Z0"] / d**2)
-    C, breakdown = assemble_constant(L, b, 1.0, d, envelope)
+    C, breakdown = assemble_constant(L, b, 1.0, d)
     return Certificate(
         theorem=theorem, recipe=f"window-second-case{case}", kind="second",
         N=N, beta=b, gamma=1.0, d=d, floors=floors,
@@ -497,7 +481,7 @@ def _synth_window_second(N: float, idx: nl.IndexReport, theorem: str,
     )
 
 
-def _synth_window(N, idx, theorem, envelope, beta=None) -> Certificate:
+def _synth_window(N, idx, theorem) -> Certificate:
     upper = idx.upper
     if not idx.upper_finite:
         raise HypothesisViolation("upper index must be finite")
@@ -506,31 +490,31 @@ def _synth_window(N, idx, theorem, envelope, beta=None) -> Certificate:
     if N >= 4:
         if idx.lower < 1:
             raise HypothesisViolation("lower index must be >= 1")
-        return _synth_window_first(N, idx, theorem, envelope, beta)
-    return _synth_window_second(N, idx, theorem, envelope, beta)
+        return _synth_window_first(N, idx, theorem)
+    return _synth_window_second(N, idx, theorem)
 
 
-def _synth_dereg(N: float, idx: nl.IndexReport, envelope: float,
-                 beta_witness: Optional[float]) -> Certificate:
-    """Window recipe at the regularization-removal exponent beta0."""
+def _synth_dereg(N: float, idx: nl.IndexReport) -> Certificate:
+    """Window recipe at the regularization-removal exponent beta0.
+
+    The superlinearity witness sits halfway between rho(N, upper) and
+    lower - 1, so it exceeds rho whenever one exists.
+    """
     upper = idx.upper
     r = nl.rho(N, upper)
-    if beta_witness is None:
-        if not idx.lower_finite or idx.lower - 1.0 <= r:
-            raise HypothesisViolation(
-                "no default superlinearity witness above rho; supply beta")
-        beta_witness = 0.5 * (r + (idx.lower - 1.0))
-    if beta_witness <= r:
-        raise HypothesisViolation("witness exponent must exceed rho(N, upper)")
+    if not idx.lower_finite or idx.lower - 1.0 <= r:
+        raise HypothesisViolation(
+            "no superlinearity witness: lower index - 1 must exceed rho(N, upper)")
+    beta_witness = 0.5 * (r + (idx.lower - 1.0))
     if N >= 4:
         lo, hi = _window_interval_first(N, upper)
         beta0 = 0.5 * (r + min(beta_witness, hi))
-        cert = _synth_window_first(N, idx, "1.8", envelope, beta0)
+        cert = _synth_window_first(N, idx, "1.8", beta0)
     else:
         lo, hi, _case = _window_interval_second(N, upper)
         cap = beta_witness if math.isinf(hi) else min(beta_witness, hi)
         beta0 = 0.5 * (r + cap)
-        cert = _synth_window_second(N, idx, "1.8", envelope, beta0)
+        cert = _synth_window_second(N, idx, "1.8", beta0)
     return replace(cert, beta0=beta0,
                    notes={**cert.notes, "rho": r, "beta_witness": beta_witness})
 
@@ -611,7 +595,7 @@ def lichnerowicz_constants(N: float, a: float, sigma: float, tau: float,
     return L_abc, liouville_threshold(N, a, sigma), beta, M, case, delta
 
 
-def _synth_lichnerowicz(N: float, spec: nl.NonlinearitySpec, envelope: float,
+def _synth_lichnerowicz(N: float, spec: nl.NonlinearitySpec,
                         delta: Optional[float]) -> Certificate:
     fam = spec.family
     if not isinstance(fam, nl.Lichnerowicz):
@@ -622,7 +606,7 @@ def _synth_lichnerowicz(N: float, spec: nl.NonlinearitySpec, envelope: float,
     floors = {"U0": _floor_pair(M), "V0": _floor_pair(L_abc),
               "W0": _floor_pair(W_const)}
     L = floors["U0"]
-    C, breakdown = assemble_constant(L, beta, 0.0, 0.0, envelope)
+    C, breakdown = assemble_constant(L, beta, 0.0, 0.0)
     return Certificate(
         theorem="8", recipe=f"lichnerowicz-case{case}", kind="first", N=N,
         beta=beta, gamma=0.0, d=0.0, floors=floors,
@@ -642,19 +626,19 @@ def _synth_lichnerowicz(N: float, spec: nl.NonlinearitySpec, envelope: float,
 def synthesize(N: float, indices: nl.IndexReport, theorem: str, *,
                spec: Optional[nl.NonlinearitySpec] = None,
                alpha: Optional[float] = None,
-               beta: Optional[float] = None,
-               delta: Optional[float] = None,
-               envelope: float = DEFAULT_ENVELOPE) -> Certificate:
+               delta: Optional[float] = None) -> Certificate:
     """Build a certified parameter tuple for the named estimate."""
     t = nl.normalize_theorem(theorem)
     if t == "1.3":
-        return _synth_subcritical(N, indices, "1.3", envelope)
+        return _synth_subcritical(N, indices, "1.3")
     if t == "1.5":
-        return _synth_weak(N, indices, alpha, envelope, spec)
+        if spec is None:
+            raise HypothesisViolation("the gradient-only recipe needs the reaction spec")
+        return _synth_weak(N, indices, alpha, spec)
     if t == "1.7":
-        return _synth_window(N, indices, "1.7", envelope, beta)
+        return _synth_window(N, indices, "1.7")
     if t == "1.8":
-        return _synth_dereg(N, indices, envelope, beta)
+        return _synth_dereg(N, indices)
     if t == "1.9":
         a = alpha if alpha is not None else indices.upper
         if not math.isfinite(a):
@@ -662,16 +646,16 @@ def synthesize(N: float, indices: nl.IndexReport, theorem: str, *,
         p, ps = nl.p_threshold(N), nl.p_sobolev(N)
         idx = nl.compute_indices(nl.power(a))
         if a < p:
-            cert = _synth_subcritical(N, idx, "1.9", envelope)
+            cert = _synth_subcritical(N, idx, "1.9")
         elif a < ps:
-            cert = replace(_synth_dereg(N, idx, envelope, beta), theorem="1.9")
+            cert = replace(_synth_dereg(N, idx), theorem="1.9")
         else:
             raise Infeasible(f"exponent {a} is not below p_S(N) = {ps}")
         return replace(cert, alpha=a)
     if t == "8":
         if spec is None:
             raise HypothesisViolation("the Lichnerowicz recipe needs the reaction spec")
-        return _synth_lichnerowicz(N, spec, envelope, delta)
+        return _synth_lichnerowicz(N, spec, delta)
     raise UnsupportedTheorem(theorem)
 
 
@@ -679,28 +663,53 @@ def synthesize(N: float, indices: nl.IndexReport, theorem: str, *,
 # grid certification
 
 
-def _cross_terms(cert: Certificate, spec: nl.NonlinearitySpec, u: np.ndarray):
-    """Ratio-free V*y and |y| on a u-grid (first kind, gamma = 0 recipes)."""
+def amgm_slots(cert: Certificate, spec: nl.NonlinearitySpec, u: np.ndarray):
+    """(U, W, cross, y, mask) of an "amgm" certificate on a u-grid.
+
+    These recipes have gamma = 0, so no slot depends on eps (taken as 0).
+    cross is the exchanged quantity
+    V.y + 2 sqrt((U - retain_x2)^+ (W - retain_y2)^+) |y| per unit weight:
+    divided by |y| where `mask` marks the ratios reliable, unless the weight
+    is "one"; at a root of f it stays absolute, so the claim there is
+    cross >= 0.  At eps = 0, V is affine in (r1, r2) and free of u, so
+    V.y = c0 y + c1 f' + c2 u f'' is ratio-free, with the c's read off
+    `coeffs_first_kind` at (r1, r2) = (0, 0), (1, 0) and (0, 1).
+    """
     f, df, d2f = nl.evaluate_many(spec, u)
+    mask = nl.ratio_mask(spec, u, f, df)
+    if cert.d > 0 and not np.all(mask):
+        raise HypothesisViolation("recipes with d > 0 need f > 0 on the whole grid")
+    f_safe = np.where(mask, f, 1.0)
+    r1 = np.where(mask, u * df / f_safe, 0.0)
+    r2 = np.where(mask, u * u * d2f / f_safe, 0.0)
+    U, _, W = coeffs_first_kind(cert.N, cert.beta, cert.gamma, cert.d,
+                                u, 0.0, r1, r2)
+
+    def V(r1, r2):
+        return coeffs_first_kind(cert.N, cert.beta, cert.gamma, cert.d,
+                                 1.0, 0.0, r1, r2)[1]
+
+    c0 = V(0.0, 0.0)
     y = f / u
-    b, d, N = cert.beta, cert.d, cert.N
-    Vy = ((4.0 / N) * (1.0 + b) * y + 2.0 * (y - df)
-          + d * (u * d2f / b**2 - (2.0 / b) * (df - y)))
-    return Vy, y
+    Vy = c0 * y + (V(1.0, 0.0) - c0) * df + (V(0.0, 1.0) - c0) * u * d2f
+    budget = np.sqrt(np.maximum(U - cert.retain_x2, 0.0)
+                     * np.maximum(W - cert.retain_y2, 0.0))
+    cross = Vy + 2.0 * budget * np.abs(y)
+    if cert.cross_weight != "one":
+        denom = np.maximum(np.where(mask, np.abs(y), 1.0), 1e-300)
+        cross = np.where(mask, cross / denom, cross)
+    return U, W, cross, y, mask
 
 
-def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float,
-            u_range: tuple[float, float] = DEFAULT_U_RANGE,
-            eps_range: tuple[float, float] = DEFAULT_EPS_RANGE,
-            u_points: int = 241, eps_points: int = 41) -> Certificate:
-    """Re-check every floor of the certificate on a (u, eps) grid.
+def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float) -> Certificate:
+    """Re-check every floor of the certificate on the (u, eps) grid.
 
     Returns a copy with `verification` filled in; status flips to
     "infeasible" if any margin drops to the tolerance or below.
     """
     if N != cert.N:
         raise ValueError("certificate was synthesized for a different N")
-    u = np.geomspace(u_range[0], u_range[1], u_points)
+    u = np.geomspace(DEFAULT_U_RANGE[0], DEFAULT_U_RANGE[1], U_POINTS)
     margins: dict[str, float] = {}
     worst_at: dict = {}
 
@@ -710,34 +719,16 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float,
         worst_at[name] = where(i)
 
     if cert.cross_mode == "amgm":
-        # gamma = 0 recipes: coefficients do not depend on eps
-        f, df, d2f = nl.evaluate_many(spec, u)
-        mask = nl.ratio_mask(spec, u, f, df)
-        r1 = np.where(mask, u * df / np.where(mask, f, 1.0), 0.0)
-        r2 = np.where(mask, u * u * d2f / np.where(mask, f, 1.0), 0.0)
-        if cert.d > 0 and not np.all(mask):
-            raise HypothesisViolation(
-                "recipes with d > 0 need f > 0 on the whole grid")
-        U, V, W = coeffs_first_kind(N, cert.beta, cert.gamma, cert.d,
-                                    u, 0.0, r1, r2)
+        U, W, cross, y, mask = amgm_slots(cert, spec, u)
         fl = cert.floors
         record("U0", U - fl["U0"], lambda i: {"u": float(u[i])})
         record("W0", W - fl["W0"], lambda i: {"u": float(u[i])})
-        Vy, y = _cross_terms(cert, spec, u)
-        budget = np.sqrt(np.maximum(U - cert.retain_x2, 0.0)
-                         * np.maximum(W - cert.retain_y2, 0.0))
-        cross = Vy + 2.0 * budget * np.abs(y)
-        if cert.cross_weight == "one":
-            rel = cross - fl["V0"]
-        else:
-            # normalize by |y| wherever the ratio is reliable; at a root of f
-            # the claim degenerates to cross >= 0 and is checked absolutely
-            denom = np.where(mask, np.abs(y), 1.0)
-            denom = np.maximum(denom, 1e-300)
-            rel = np.where(mask, cross / denom - fl["V0"], cross)
+        rel = cross - fl["V0"]
+        if cert.cross_weight != "one":
+            rel = np.where(mask, rel, cross)   # a root of f claims cross >= 0
         record("V0", rel, lambda i: {"u": float(u[i]), "y": float(y[i])})
     else:
-        eps = np.geomspace(eps_range[0], eps_range[1], eps_points)
+        eps = np.geomspace(DEFAULT_EPS_RANGE[0], DEFAULT_EPS_RANGE[1], EPS_POINTS)
         uu, ee = np.meshgrid(u, eps, indexing="ij")
         f, df, d2f = nl.evaluate_many(spec, u)
         if np.any(f <= 0):
@@ -764,8 +755,8 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float,
     worst = margins[worst_name]
     ok = worst > MARGIN_TOL
     verification = {
-        "u_range": list(u_range), "eps_range": list(eps_range),
-        "u_points": u_points, "eps_points": eps_points,
+        "u_range": list(DEFAULT_U_RANGE), "eps_range": list(DEFAULT_EPS_RANGE),
+        "u_points": U_POINTS, "eps_points": EPS_POINTS,
         "margins": margins, "worst_margin": worst,
         "worst_floor": worst_name, "worst_at": worst_at[worst_name],
     }

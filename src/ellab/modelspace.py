@@ -307,6 +307,13 @@ def appendix_solution(aspace: AppendixSpace, r):
     return u, du, lap, lap + u**alpha
 
 
+def appendix_relative_residual(aspace: AppendixSpace) -> float:
+    """max |lap_w u + u^alpha| / max u^alpha of the closed form on [0, 100]."""
+    r = np.linspace(0.0, 100.0, 20001)
+    u, _, _, res = appendix_solution(aspace, r)
+    return float(np.max(np.abs(res)) / np.max(u**aspace.alpha))
+
+
 def appendix_solution_second(aspace: AppendixSpace, r):
     """u'' of the closed form (for profile construction)."""
     r = np.asarray(r, dtype=float)

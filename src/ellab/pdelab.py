@@ -46,7 +46,7 @@ from .errors import (
 )
 
 ESTIMATE_KINDS = ("gradient-strong", "gradient-weak", "eps-I", "eps-II",
-                  "universal-bound", "harnack", "lichnerowicz")
+                  "lichnerowicz")
 
 MAX_ITER = 60          # Newton steps before NoConvergence
 MAX_BACKTRACK = 40     # step halvings before PositivityLost
@@ -409,12 +409,6 @@ def diagnostics(profile: SolutionProfile, spec: nl.NonlinearitySpec,
     return DiagnosticField(params, w, x, y, weight, fld, Q)
 
 
-def estimate_quantity(profile: SolutionProfile, spec: nl.NonlinearitySpec) -> np.ndarray:
-    """|grad u|^2/u^2 + f(u)/u, the strong-estimate diagnostic."""
-    f, _, _ = nl.evaluate_many(spec, profile.u)
-    return profile.du**2 / profile.u**2 + f / profile.u
-
-
 # ---------------------------------------------------------------------------
 # epsilon selection
 
@@ -495,11 +489,9 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
     """Measure the estimate quantity on the inner ball against the bound."""
     if kind not in ESTIMATE_KINDS:
         raise KindMismatch(f"unknown estimate kind {kind!r}")
-    if kind != "harnack" and kind != "universal-bound":
-        allowed = _KIND_FOR_THEOREM.get(cert.theorem, ())
-        if kind not in allowed:
-            raise KindMismatch(
-                f"kind {kind!r} incompatible with a theorem-{cert.theorem} certificate")
+    if kind not in _KIND_FOR_THEOREM.get(cert.theorem, ()):
+        raise KindMismatch(
+            f"kind {kind!r} incompatible with a theorem-{cert.theorem} certificate")
     spec = profile.spec
     inner = profile.ball(R)
     u, du = profile.u[inner], profile.du[inner]
@@ -507,18 +499,12 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
     C = cert.C
     details: dict = {"R": R, "K": K}
 
-    if kind in ("gradient-strong",):
+    if kind == "gradient-strong":
         measured = float(np.max(du**2 / u**2 + f / u))
         bound = C * (K + 1.0 / R**2)
     elif kind == "gradient-weak":
         measured = float(np.max(du**2 / u**2))
         bound = C * (K + 1.0 / R**2)
-    elif kind == "universal-bound":
-        measured = float(np.max(f / u))
-        bound = C * (K + 1.0 / R**2)
-    elif kind == "harnack":
-        measured = float(np.max(u) / np.min(u))
-        bound = C
     elif kind == "lichnerowicz":
         if cert.L_abc is None:
             raise KindMismatch("certificate carries no quadratic-loss constant")
@@ -527,10 +513,9 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
                      + max(2.0 * K - cert.L_abc, 0.0))
         details["L_abc"] = cert.L_abc
     else:  # eps-I / eps-II
-        if eps is None:
-            L = cert.chi_L if cert.chi_L else 1.0
-            eps = choose_epsilon(spec, L, K, R)
         L = cert.chi_L if cert.chi_L else 1.0
+        if eps is None:
+            eps = choose_epsilon(spec, L, K, R)
         beta = cert.beta
         fL, _, _ = nl.evaluate_many(spec, np.array([L * eps]))
         grad_den = u**2 if kind == "eps-I" else (u + eps) ** 2
@@ -669,16 +654,18 @@ def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
 # profile export
 
 
-def profile_table(profile: SolutionProfile, params: Optional[DiagnosticParams] = None):
-    """(header, columns) for CSV export: r, u, u', Q, F, G."""
+def profile_table(profile: SolutionProfile):
+    """(header, columns) for CSV export: r, u, u', Q, F, G.
+
+    F and G are the first- and second-kind fields at beta = d = 1, gamma = 0;
+    G regularizes with eps = 1e-3 max u.  At d = 1, Q is the strong-estimate
+    quantity |grad u|^2/u^2 + f(u)/u.
+    """
     spec = profile.spec
-    if params is None:
-        params = DiagnosticParams(beta=1.0, gamma=0.0, d=1.0, eps=0.0)
-    first = diagnostics(profile, spec, params)
-    eps = params.eps if params.eps > 0 else 1e-3 * float(np.max(profile.u))
-    second = diagnostics(profile, spec, DiagnosticParams(
-        params.beta, params.gamma, params.d, eps, "second"))
-    q = estimate_quantity(profile, spec)
+    first = diagnostics(profile, spec, DiagnosticParams(beta=1.0, d=1.0))
+    eps = 1e-3 * float(np.max(profile.u))
+    second = diagnostics(profile, spec, DiagnosticParams(beta=1.0, d=1.0, eps=eps,
+                                                         transform="second"))
     header = ["r", "u", "du", "Q", "F", "G"]
-    cols = [profile.r, profile.u, profile.du, q, first.field, second.field]
+    cols = [profile.r, profile.u, profile.du, first.Q, first.field, second.field]
     return header, cols

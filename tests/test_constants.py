@@ -75,20 +75,26 @@ def test_second_kind_admissibility_boundary():
     (4.0, "8", nl.lichnerowicz(1, 1, 3, 0, 0.5), {}),
 ])
 def test_cross_terms_match_first_kind_V(N, theorem, spec, kw):
-    # the ratio-free V*y of the amgm cross check is a second transcription of
-    # the first-kind V; both must agree on certify's u-grid
+    # amgm_slots forms V*y ratio-free from coefficients read off
+    # coeffs_first_kind; its exchanged cross quantity must agree with the one
+    # built from V and the ratios on certify's u-grid
     cert = ct.synthesize(N, nl.compute_indices(spec), theorem, spec=spec, **kw)
     assert cert.kind == "first" and cert.cross_mode == "amgm" and cert.gamma == 0.0
     assert cert.d > 0 or theorem != "1.3"
-    u = np.geomspace(*ct.DEFAULT_U_RANGE, 241)
+    u = np.geomspace(*ct.DEFAULT_U_RANGE, ct.U_POINTS)
     f, df, d2f = nl.evaluate_many(spec, u)
     m = nl.ratio_mask(spec, u, f, df)
-    _, V, _ = ct.coeffs_first_kind(N, cert.beta, cert.gamma, cert.d, u[m], 0.0,
+    U, V, W = ct.coeffs_first_kind(N, cert.beta, cert.gamma, cert.d, u[m], 0.0,
                                    u[m] * df[m] / f[m], u[m] ** 2 * d2f[m] / f[m])
-    Vy, y = ct._cross_terms(cert, spec, u)
-    Vy_ratio = V * y[m]
-    scale = np.maximum(np.abs(Vy_ratio), np.abs(y[m]))
-    assert np.all(np.abs(Vy_ratio - Vy[m]) <= 1e-12 * scale)
+    _, _, cross, y, mask = ct.amgm_slots(cert, spec, u)
+    assert np.array_equal(mask, m)
+    y = y[m]
+    budget = np.sqrt(np.maximum(U - cert.retain_x2, 0.0)
+                     * np.maximum(W - cert.retain_y2, 0.0))
+    weight = 1.0 if cert.cross_weight == "one" else np.abs(y)
+    cross_ratio = (V * y + 2.0 * budget * np.abs(y)) / weight
+    scale = np.maximum(np.abs(V * y), np.abs(y)) / weight
+    assert np.all(np.abs(cross_ratio - cross[m]) <= 1e-12 * scale)
 
 
 # --- combined cross bound ----------------------------------------------------
@@ -223,6 +229,13 @@ def test_synthesize_rejects_supercritical():
         ct.synthesize(5.0, idx, "1.9", alpha=4.0)  # above p_S(5) = 7/3
 
 
+def test_synthesize_15_needs_the_spec():
+    # the cross floor is located on the reaction itself, as theorem 8's is
+    idx = nl.compute_indices(nl.power(2.0))
+    with pytest.raises(HypothesisViolation):
+        ct.synthesize(3.0, idx, "1.5", alpha=2.5)
+
+
 def test_synthesize_19_dispatch():
     low = ct.synthesize(4.0, nl.compute_indices(nl.power(2.0)), "1.9")
     assert low.recipe == "subcritical-amgm"
@@ -329,12 +342,14 @@ def test_floors_positive_for_standard_certs():
     assert all(v > 0 for v in cert.floors.values())
 
 
-def test_certify_eps_independent_for_unregularized():
+def test_certify_eps_independent_for_unregularized(monkeypatch):
     spec = nl.power(2.0)
     idx = nl.compute_indices(spec)
     cert = ct.synthesize(4.0, idx, "1.3")
-    a = ct.certify(cert, spec, 4.0, eps_range=(1e-6, 1e-3))
-    b = ct.certify(cert, spec, 4.0, eps_range=(1e-2, 1.0))
+    monkeypatch.setattr(ct, "DEFAULT_EPS_RANGE", (1e-6, 1e-3))
+    a = ct.certify(cert, spec, 4.0)
+    monkeypatch.setattr(ct, "DEFAULT_EPS_RANGE", (1e-2, 1.0))
+    b = ct.certify(cert, spec, 4.0)
     assert a.verification["margins"] == b.verification["margins"]
 
 

@@ -158,7 +158,7 @@ def test_diagnostics_chain_rule_identity():
 def test_diagnostics_appendix_closed_form():
     asp = ms.appendix_space(5.0, 2.0, 1.0)
     prof = pde.exact_profile(asp, 1.0, 512)
-    q = pde.estimate_quantity(prof, prof.spec)
+    q = pde.diagnostics(prof, prof.spec, pde.DiagnosticParams(beta=1.0, d=1.0)).Q
     expected = 16.0 / (asp.mu**2 + prof.r**2)
     assert np.max(np.abs(q - expected)) < 1e-8
 
