@@ -93,6 +93,20 @@ def _dimension(args, space: ms.WeightedSpace) -> float:
     return args.N
 
 
+def _certificate(args, spec: nl.NonlinearitySpec, N: float) -> ct.Certificate:
+    """The --theorem certificate, synthesized and checked against --f."""
+    idx = nl.compute_indices(spec)
+    # 1.9 builds its certificate for power(--alpha) but checks it against --f,
+    # so a pure power of another exponent contradicts --alpha
+    if (nl.normalize_theorem(args.theorem) == "1.9" and args.alpha is not None
+            and idx.lower == idx.upper != args.alpha):
+        raise ConfigError(f"--alpha {args.alpha:g} contradicts the power "
+                          f"{idx.upper:g} of --f for theorem 1.9")
+    cert = ct.synthesize(N, idx, args.theorem, spec=spec,
+                         alpha=args.alpha, delta=args.delta)
+    return ct.certify(cert, spec, N)
+
+
 def _config_dict(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -129,10 +143,7 @@ def cmd_certify(args) -> int:
         raise ConfigError("certify needs --N")
     if args.theorem is None:
         raise ConfigError("certify needs --theorem")
-    idx = nl.compute_indices(spec)
-    cert = ct.synthesize(args.N, idx, args.theorem, spec=spec,
-                         alpha=args.alpha, delta=args.delta)
-    cert = ct.certify(cert, spec, args.N)
+    cert = _certificate(args, spec, args.N)
     report = cert.as_dict()
     report["nonlinearity"] = nl.to_json(spec)
     cfg = _config_dict(args, ("f", "N", "theorem", "alpha", "delta", "seed"))
@@ -176,10 +187,7 @@ def cmd_verify(args) -> int:
     if args.R is None or args.theorem is None:
         raise ConfigError("verify needs --R and --theorem")
     N = _dimension(args, space)
-    idx = nl.compute_indices(spec)
-    cert = ct.synthesize(N, idx, args.theorem, spec=spec,
-                         alpha=args.alpha, delta=args.delta)
-    cert = ct.certify(cert, spec, N)
+    cert = _certificate(args, spec, N)
     K = args.K if args.K is not None else ms.curvature_bound(space, 2 * args.R).K
     bv = args.bv if args.bv is not None else 0.5
     prof = pde.solve_radial_bvp(space, spec, args.R, bv,

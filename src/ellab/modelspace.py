@@ -30,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: importing it costs more
-# than most commands' maths, and `indices` and `certify` never need it.
+# scipy is imported only by `table_weight_space`, for its spline: importing it
+# costs more than most commands' maths.
 
 from .errors import DimensionMismatch, InvalidAlpha
 
@@ -172,19 +172,103 @@ class CurvatureReport:
                 "which": self.which, "K": self.K, "r_max": self.r_max}
 
 
+def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(min, argmin) of func on [a, b] by Brent's bounded method.
+
+    A port of scipy.optimize's `_minimize_scalar_bounded` (scipy, BSD-3)
+    with the same float operations in the same order, without its printing,
+    result object and bounds validation; the caller ensures a < b.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # check for a parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # check the parabola is acceptable
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:  # a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= 500:  # scipy's default maxiter
+            break
+    return fx, xf
+
+
 def _refine_min(fn, grid: np.ndarray) -> tuple[float, float]:
     vals = fn(grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi > lo:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(lambda r: float(fn(np.float64(r))),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, hi)})
-        if res.fun < vals[i]:
-            return float(res.fun), float(res.x)
+        fun, x = _bounded_min(lambda r: float(fn(np.float64(r))), lo, hi,
+                              1e-13 * max(1.0, hi))
+        if fun < vals[i]:
+            return float(fun), float(x)
     return float(vals[i]), float(grid[i])
 
 

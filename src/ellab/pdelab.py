@@ -24,14 +24,19 @@ power reactions.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: importing it costs more
-# than most commands' maths, and `indices` and `certify` never need it.
+# The solver takes LAPACK's dgtsv from scipy's `_flapack` extension, loaded by
+# its file on the first solve: importing the `scipy.linalg` package costs far
+# more than most commands' maths.  Only `scaling_check` imports scipy itself.
 
 from . import modelspace as ms
 from . import nonlinearity as nl
@@ -57,6 +62,7 @@ BLOWUP_FACTOR = 1e8    # max(u) / boundary value that counts as blow-up
 BRANCH_CENTRES = 0.1 * np.geomspace(2.0**-40, 2.0**40, 1023)
 BRANCH_GRID = 128      # intervals of the coarse march over those centres
 REFINE_CENTRES = 65    # centres between two of those that refine the maximum
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,23 @@ def _residual(space, spec, grid: RadialGrid, drift: np.ndarray, full: np.ndarray
     return res, f, df
 
 
+def _dgtsv():
+    """LAPACK's tridiagonal solver from scipy's compiled `_flapack` module.
+
+    The module is registered under its own name, so a later `import
+    scipy.linalg` shares this module object instead of loading a second one.
+    """
+    flapack = sys.modules.get(_FLAPACK)
+    if flapack is None:
+        linalg = [os.path.join(root, "linalg") for root in
+                  importlib.util.find_spec("scipy").submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg)
+        flapack = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = flapack
+        spec.loader.exec_module(flapack)
+    return flapack.dgtsv
+
+
 def solve_radial_bvp(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
                      R: float, boundary_value: float,
                      config: SolverConfig = SolverConfig()) -> SolutionProfile:
@@ -141,8 +164,7 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
     solved by one LAPACK call per step.  If lanes fail, the error of the first
     failing lane in value order is raised, as a loop over the values would.
     """
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _dgtsv()
     bvs = np.asarray(boundary_values, dtype=float)
     if np.any(bvs <= 0):
         raise ValueError("boundary value must be positive")

@@ -166,6 +166,24 @@ def test_out_of_range_flags_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("power, alpha", [("1.5", "3.5"), ("3.5", "1.5")])
+@pytest.mark.parametrize("command", [
+    ["certify", "--N", "3"],
+    ["verify", "--space", "flat:3", "--R", "1"],
+])
+def test_theorem_19_alpha_must_match_the_power(tmp_path, capsys, command,
+                                                power, alpha):
+    # 1.9 certifies power(--alpha), which a pure power --f of another
+    # exponent contradicts
+    out = tmp_path / "out.json"
+    argv = command + ["--theorem", "1.9", "--f", f"power:{power}",
+                      "--out", str(out)]
+    assert run(argv + ["--alpha", alpha]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+    assert run(argv + ["--alpha", power]) == 0
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"f": "power:2", "N": 5.0, "alpha": 2.0}))
@@ -229,40 +247,88 @@ def test_config_does_not_override_explicit_zero(tmp_path):
     assert h[0] == h[1] != h[2]
 
 
-_IMPORT_PROBE = """
-import sys
-from ellab import cli
-
-def run_all(*argvs):
-    for argv in argvs:
-        assert cli.main(argv) == 0, argv
-
-run_all(["indices", "--f", "power:2", "--N", "5", "--out", "i.json"],
-        ["certify", "--f", "power:2", "--N", "4", "--theorem", "1.3",
-         "--out", "c.json"])
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-assert not loaded, sorted(loaded)[:3]
-solver = {"ellab.acceptance", "ellab.pdelab", "ellab.relations"} & set(sys.modules)
-assert not solver, sorted(solver)
-run_all(["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
-         "--bv", "0.5", "--grid", "128", "--out", "p.csv"],
-        ["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
-         "--R", "1", "--grid", "128", "--out", "v.json"])
-loaded = [m for m in sys.modules
-          if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "interpolate"])]
-assert not loaded, sorted(loaded)[:3]
-"""
-
-
-def test_cheap_commands_load_no_scipy(tmp_path):
-    # a fresh interpreter, so modules imported by other tests do not count
+def _run_probe(tmp_path, probe):
+    """Run `probe` in a fresh interpreter, so modules imported by other tests
+    do not count, and assert that it exits 0."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_CHEAP_PROBE = """
+import sys
+from ellab import cli
+
+for argv in (["indices", "--f", "power:2", "--N", "5", "--out", "i.json"],
+             ["certify", "--f", "power:2", "--N", "4", "--theorem", "1.3",
+              "--out", "c.json"]):
+    assert cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, sorted(loaded)[:3]
+solver = {"ellab.acceptance", "ellab.pdelab", "ellab.relations"} & set(sys.modules)
+assert not solver, sorted(solver)
+"""
+
+
+def test_cheap_commands_load_no_scipy(tmp_path):
+    _run_probe(tmp_path, _CHEAP_PROBE)
+
+
+# the README arguments of the solver and curvature commands
+_SOLVER_PROBE = """
+import sys
+from ellab import cli
+
+for argv in (["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
+              "--bv", "0.5", "--out", "profile.csv"],
+             ["verify", "--theorem", "1.9", "--space", "flat:4",
+              "--f", "power:2", "--R", "1"],
+             ["appendix", "--N", "5", "--alpha", "2", "--K", "1"],
+             ["implications", "--f", "power:2", "--space", "flat:4",
+              "--R", "1"]):
+    assert cli.main(argv) == 0, argv
+packages = {"scipy", "scipy.linalg", "scipy.optimize", "scipy.interpolate"}
+assert not packages & set(sys.modules), sorted(packages & set(sys.modules))
+"""
+
+
+def test_solver_commands_load_no_scipy_package(tmp_path):
+    # pdelab loads only the compiled LAPACK module, and the curvature
+    # minimum uses modelspace's own bounded minimizer
+    _run_probe(tmp_path, _SOLVER_PROBE)
+
+
+_DGTSV_PROBE = """
+import sys
+import numpy as np
+from ellab import pdelab
+
+# two lanes of one tridiagonal system, uncoupled across the lane boundary
+rng = np.random.default_rng(3)
+m = 8
+dl, du = rng.uniform(0.5, 1.0, 2 * m - 1), rng.uniform(0.5, 1.0, 2 * m - 1)
+dl[m - 1] = du[m - 1] = 0.0
+d = -rng.uniform(3.0, 4.0, 2 * m)
+b = rng.normal(size=2 * m)
+loaded = pdelab._dgtsv()(dl, d, du, b)
+assert "scipy.linalg" not in sys.modules
+
+import scipy.linalg
+from scipy.linalg.lapack import dgtsv
+assert dgtsv is pdelab._dgtsv()
+assert scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
+reference = dgtsv(dl, d, du, b)
+assert loaded[-1] == reference[-1] == 0
+assert all(np.array_equal(x, y) for x, y in zip(loaded, reference))
+"""
+
+
+def test_loaded_dgtsv_is_scipys(tmp_path):
+    _run_probe(tmp_path, _DGTSV_PROBE)
 
 
 def test_determinism_byte_identical(tmp_path):

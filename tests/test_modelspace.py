@@ -120,6 +120,30 @@ def test_curvature_scale_covariance():
         assert got == pytest.approx(s * s * base, rel=1e-9)
 
 
+@pytest.mark.parametrize("triple", [(5.0, 2.0, 1.0), (4.5, 1.8, 2.0),
+                                    (7.0, 1.3, 0.5)])
+def test_bounded_min_matches_scipy_bit_for_bit(monkeypatch, triple):
+    from scipy.optimize import minimize_scalar
+
+    # record the radial, tangential and sharpness curves with their brackets
+    # as the appendix command refines them
+    port, calls = ms._bounded_min, []
+
+    def record(func, a, b, xatol):
+        calls.append((func, a, b, xatol))
+        return port(func, a, b, xatol)
+
+    monkeypatch.setattr(ms, "_bounded_min", record)
+    asp = ms.appendix_space(*triple)
+    ms.curvature_bound(asp.space, 50.0 * asp.mu)
+    ms.sharpness_quantity(asp)
+    assert len(calls) == 3
+    for func, a, b, xatol in calls:
+        ref = minimize_scalar(func, bounds=(a, b), method="bounded",
+                              options={"xatol": xatol})
+        assert port(func, a, b, xatol) == (ref.fun, ref.x)
+
+
 def test_report_minimum_below_curves():
     asp = ms.appendix_space(6.0, 1.9, 0.7)
     rep = ms.curvature_bound(asp.space, 25.0)
