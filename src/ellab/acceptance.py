@@ -120,10 +120,10 @@ def _c05_certificate_floors() -> CriterionResult:
         ("8", 4.0, nl.lichnerowicz(1, 1, 3, 0, 0.5), {}),
     ]
     for thm, N, spec, kw in cases:
-        t0 = time.time()
+        t0 = time.perf_counter()
         cert = ct.synthesize(N, nl.compute_indices(spec), thm, spec=spec, **kw)
         out = ct.certify(cert, spec, N)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         key = f"{thm}@N={N}"
         details[key] = {"status": out.status,
                         "worst_margin": out.verification["worst_margin"],
@@ -299,9 +299,9 @@ CRITERIA = [
 def run_suite(printer=None) -> list[CriterionResult]:
     results = []
     for fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = fn()
-        res.seconds = time.time() - t0
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         if printer is not None:
             printer(res.line())

@@ -30,9 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# scipy is imported only by `table_weight_space`, for its spline: importing it
-# costs more than most commands' maths.
-
 from .errors import DimensionMismatch, InvalidAlpha
 
 
@@ -88,12 +85,14 @@ def log_weight_space(n: int, N: float, gamma: float, mu: float,
 
 
 def table_weight_space(n: int, N: float, r_nodes, phi_values) -> WeightedSpace:
-    """Tabulated radial weight, interpolated by a clamped cubic spline."""
-    from scipy.interpolate import CubicSpline
+    """Tabulated radial weight, interpolated by a cubic spline with slope 0 at
+    the first node and a not-a-knot end."""
+    # pdelab imports this module, so its spline is imported here
+    from .pdelab import CubicSpline
 
     r_nodes = np.asarray(r_nodes, dtype=float)
     vals = np.asarray(phi_values, dtype=float)
-    sp = CubicSpline(r_nodes, vals, bc_type=((1, 0.0), "not-a-knot"))
+    sp = CubicSpline.fit(r_nodes, vals, start_slope=0.0)
     d1, d2 = sp.derivative(1), sp.derivative(2)
     return WeightedSpace(n, N, sp, d1, d2, weight_kind="table",
                          weight_params=(tuple(r_nodes), tuple(vals)))

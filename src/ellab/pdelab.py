@@ -34,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-# The solver takes LAPACK's dgtsv from scipy's `_flapack` extension, loaded by
-# its file on the first solve: importing the `scipy.linalg` package costs far
-# more than most commands' maths.  Only `scaling_check` imports scipy itself.
+# The solver and the cubic spline take LAPACK's dgtsv from scipy's `_flapack`
+# extension, loaded by its file on first use: importing a scipy package costs
+# far more than any command's maths, so no command imports one.
 
 from . import modelspace as ms
 from . import nonlinearity as nl
@@ -622,6 +622,84 @@ def verify_elliptic_inequality(profile: SolutionProfile, params: DiagnosticParam
 
 
 # ---------------------------------------------------------------------------
+# cubic spline
+
+
+@dataclass(frozen=True, eq=False)
+class CubicSpline:
+    """Piecewise cubic in the power basis: on [x[i], x[i+1]) it is
+    sum_k c[k, i] (p - x[i])^(K-1-k) for K = len(c), the last interval closed
+    and the end pieces extended outside [x[0], x[-1]].
+
+    A port of scipy.interpolate's `CubicSpline` and `PPoly` (scipy, BSD-3)
+    for not-a-knot ends or a clamped start slope.  It keeps their float
+    operations in their order, so coefficients, values and derivatives are
+    bit-for-bit scipy's.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    @staticmethod
+    def fit(x, y, start_slope: Optional[float] = None) -> "CubicSpline":
+        """Interpolating spline with not-a-knot ends, or with first derivative
+        `start_slope` at x[0] and a not-a-knot end."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = len(x)
+        dx = np.diff(x)
+        if (x.ndim != 1 or y.shape != x.shape
+                or n < (2 if start_slope is not None else 4)
+                or not (np.isfinite(x).all() and np.isfinite(y).all()
+                        and (dx > 0).all())):
+            raise ValueError("a cubic spline needs finite values on strictly "
+                             "increasing nodes, at least 4 (2 with a start slope)")
+        slope = np.diff(y) / dx
+        # the tridiagonal system (dl, d, du) s = b for the knot slopes s; rows
+        # 0 and n-1 are the end conditions
+        dl, d, du, b = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
+        dl[:-1], d[1:-1], du[1:] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if start_slope is None:
+            e = x[2] - x[0]
+            d[0], du[0] = dx[1], e
+            b[0] = ((dx[0] + 2 * e) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / e
+        else:
+            d[0], du[0], b[0] = 1.0, 0.0, start_slope
+        if n == 2:
+            # one interval has no not-a-knot end; scipy clamps it to the chord
+            d[-1], dl[-1], b[-1] = 1.0, 0.0, slope[0]
+        else:
+            e = x[-1] - x[-3]
+            d[-1], dl[-1] = dx[-2], e
+            b[-1] = (dx[-1]**2 * slope[-2] + (2 * e + dx[-1]) * dx[-2] * slope[-1]) / e
+        s, info = _dgtsv()(dl, d, du, b, 1, 1, 1, 1)[3:]
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        return CubicSpline(x, np.stack((t / dx, (slope - s[:-1]) / dx - t,
+                                        s[:-1], y[:-1])))
+
+    def __call__(self, p):
+        p = np.asarray(p, dtype=float)
+        i = np.clip(np.searchsorted(self.x, p, "right") - 1, 0, len(self.x) - 2)
+        s = p - self.x[i]
+        # summed from the constant term up with running powers of s, as scipy
+        # does; its start from 0.0 turns a -0.0 constant into 0.0
+        res, z = 0.0 + self.c[-1, i], s
+        for row in self.c[-2::-1]:
+            res = res + row[i] * z
+            z = z * s
+        return res
+
+    def derivative(self, nu: int = 1) -> "CubicSpline":
+        k = len(self.c) - nu
+        factor = np.array([math.perm(j + nu - 1, nu) for j in range(k, 0, -1)],
+                          dtype=float)
+        return CubicSpline(self.x, self.c[:k] * factor[:, None])
+
+
+# ---------------------------------------------------------------------------
 # scaling structure
 
 
@@ -636,11 +714,10 @@ def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
     """Deviation of Q(u_s)(r) = s^2 Q(u)(s r) for u_s(x) = s^(2/(a-1)) u(s x).
 
     The rescaled profile is built by cubic interpolation of the original
-    values only; its derivative comes from the new spline, so the identity is
-    tested rather than assumed.
+    values only, with not-a-knot `CubicSpline`s (the port of scipy's); its
+    derivative comes from the new spline, so the identity is tested rather
+    than assumed.
     """
-    from scipy.interpolate import CubicSpline
-
     fam = profile.spec.family
     if not isinstance(fam, nl.PowerLaw):
         raise ValueError("scaling structure is specific to pure power reactions")
@@ -648,14 +725,14 @@ def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
         raise ValueError("scaling check needs an unweighted space")
     alpha = fam.alpha
     r = profile.r
-    base = CubicSpline(r, profile.u)
+    base = CubicSpline.fit(r, profile.u)
     dbase = base.derivative()
 
     r_max = r[-1] / max(s, 1.0)
     # deliberately misaligned node count so the spline is evaluated off-knot
     rs = np.linspace(0.0, r_max, max(257, int(0.83 * len(r)) | 1))
     us = s ** (2.0 / (alpha - 1.0)) * base(s * rs)
-    sp = CubicSpline(rs, us)
+    sp = CubicSpline.fit(rs, us)
     dsp = sp.derivative()
     d2sp = sp.derivative(2)
 

@@ -278,10 +278,11 @@ def test_cheap_commands_load_no_scipy(tmp_path):
     _run_probe(tmp_path, _CHEAP_PROBE)
 
 
-# the README arguments of the solver and curvature commands
+# the README arguments of the solver, curvature and suite commands
 _SOLVER_PROBE = """
 import sys
 from ellab import cli
+from ellab import modelspace as ms
 
 for argv in (["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
               "--bv", "0.5", "--out", "profile.csv"],
@@ -289,16 +290,19 @@ for argv in (["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
               "--f", "power:2", "--R", "1"],
              ["appendix", "--N", "5", "--alpha", "2", "--K", "1"],
              ["implications", "--f", "power:2", "--space", "flat:4",
-              "--R", "1"]):
+              "--R", "1"],
+             ["suite", "--out", "suite.json"]):
     assert cli.main(argv) == 0, argv
+ms.table_weight_space(4, 5.0, [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 2.0, 4.5])
 packages = {"scipy", "scipy.linalg", "scipy.optimize", "scipy.interpolate"}
 assert not packages & set(sys.modules), sorted(packages & set(sys.modules))
 """
 
 
 def test_solver_commands_load_no_scipy_package(tmp_path):
-    # pdelab loads only the compiled LAPACK module, and the curvature
-    # minimum uses modelspace's own bounded minimizer
+    # pdelab loads only the compiled LAPACK module, the curvature minimum
+    # uses modelspace's own bounded minimizer, and the scaling check and
+    # tabulated weights use pdelab's own cubic spline
     _run_probe(tmp_path, _SOLVER_PROBE)
 
 

@@ -388,10 +388,9 @@ def test_scaling_appendix_family_closed_under_rescale():
 def test_scaling_argmax_location_covariance():
     # under the compensating rescale the diagnostic's peak moves like r -> r/s;
     # values are not compared, only the peak location
-    from scipy.interpolate import CubicSpline
     prof = lane_emden_profile(bv=0.7, m=2048)
     alpha, s = 2.0, 2.0
-    base = CubicSpline(prof.r, prof.u)
+    base = pde.CubicSpline.fit(prof.r, prof.u)
     dbase = base.derivative()
     window = np.linspace(0.05, 0.9, 2001)
 
@@ -400,11 +399,44 @@ def test_scaling_argmax_location_covariance():
 
     rs = window / s
     us = lambda r: s ** (2.0 / (alpha - 1.0)) * base(s * np.asarray(r))
-    sp = CubicSpline(rs, us(rs))
+    sp = pde.CubicSpline.fit(rs, us(rs))
     q_scaled = q_of(sp, sp.derivative(), rs)
     q_base = q_of(base, dbase, window)
     assert rs[np.argmax(q_scaled)] == pytest.approx(
         window[np.argmax(q_base)] / s, abs=2 * (window[1] - window[0]))
+
+
+@pytest.mark.parametrize("nodes,start_slope", [(None, None), (40, None),
+                                                (40, 0.0), (3, 0.0), (2, 0.0)],
+                         ids=["profile", "random", "clamped", "clamped-3",
+                              "clamped-2"])
+def test_cubic_spline_matches_scipy_bit_for_bit(nodes, start_slope):
+    from scipy.interpolate import CubicSpline as ScipySpline
+
+    if nodes is None:  # criterion 11's profile
+        prof = lane_emden_profile(m=4096)
+        x, y = prof.r, prof.u
+    else:
+        rng = np.random.default_rng(11)
+        x, y = np.sort(rng.uniform(0.0, 3.0, nodes)), rng.normal(size=nodes)
+    ref = (ScipySpline(x, y) if start_slope is None
+           else ScipySpline(x, y, bc_type=((1, start_slope), "not-a-knot")))
+    port = pde.CubicSpline.fit(x, y, start_slope)
+    assert np.array_equal(port.c, ref.c)
+    # knots (both ends among them), off-knot points, and just outside
+    h = 1e-3 * (x[-1] - x[0])
+    p = np.concatenate((x, 0.5 * (x[:-1] + x[1:]), x[:-1] + 0.3 * np.diff(x),
+                        [x[0] - h, x[-1] + h]))
+    assert np.array_equal(port(p), ref(p))
+    for nu in (1, 2):
+        assert np.array_equal(port.derivative(nu)(p), ref.derivative(nu)(p)), nu
+
+
+def test_cubic_spline_rejects_bad_nodes():
+    x = np.linspace(0.0, 1.0, 5)
+    for bad in (x[::-1], np.where(x == 0.5, np.nan, x), x[:3]):
+        with pytest.raises(ValueError):
+            pde.CubicSpline.fit(bad, np.ones(len(bad)))
 
 
 def test_scaling_rejects_weighted_space():
