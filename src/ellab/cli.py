@@ -15,6 +15,7 @@ byte-identical files.  Exit codes: 0 success, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,12 +39,18 @@ FLAG_RANGES = (("R", 0.0, False), ("bv", 0.0, False), ("grid", 3, True),
                ("N", 1.0, True), ("K", 0.0, True), ("tol", 0.0, False))
 
 
+# what a malformed --f or --space raises while it is parsed; JSONDecodeError
+# is a ValueError, and an inline JSON space whose weight is not an object
+# fails on its `.get` with an AttributeError
+PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, LabError)
+
+
 def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
-    if text.strip().startswith("{"):
-        return nl.from_json(json.loads(text))
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     try:
+        if text.strip().startswith("{"):
+            return nl.from_json(json.loads(text))
         if kind == "power":
             return nl.power(float(rest))
         if kind == "powersum":
@@ -53,17 +60,17 @@ def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
         if kind in ("lich", "lichnerowicz"):
             a, b, sigma, c, tau = (float(x) for x in rest.split(","))
             return nl.lichnerowicz(a, b, sigma, c, tau)
-    except (ValueError, TypeError) as exc:
+    except PARSE_ERRORS as exc:
         raise ConfigError(f"bad nonlinearity {text!r}: {exc}") from exc
     raise ConfigError(f"unknown nonlinearity {text!r}")
 
 
 def parse_space(text: str) -> ms.WeightedSpace:
-    if text.strip().startswith("{"):
-        return ms.from_json(json.loads(text))
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     try:
+        if text.strip().startswith("{"):
+            return ms.from_json(json.loads(text))
         if kind == "flat":
             parts = rest.split(":")
             n = int(parts[0])
@@ -72,7 +79,7 @@ def parse_space(text: str) -> ms.WeightedSpace:
         if kind == "appendix":
             N, alpha, K = (float(x) for x in rest.split(","))
             return ms.appendix_space(N, alpha, K).space
-    except (ValueError, TypeError, LabError) as exc:
+    except PARSE_ERRORS as exc:
         raise ConfigError(f"bad space {text!r}: {exc}") from exc
     raise ConfigError(f"unknown space {text!r}")
 
@@ -295,7 +302,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs about ten times a
+    `parse_args` call, and neither `parse_args` nor `_merge_config` changes
+    it, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="ellab",
         description="estimate laboratory for semilinear elliptic equations "

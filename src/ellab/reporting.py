@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import re
 from collections import Counter
 from itertools import chain
 from typing import Any
@@ -30,18 +31,19 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# the characters JSON requires escaped; most report strings hold none, and
+# `sub` returns such a string unchanged
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\"}
+
+
+def _escape_char(match: re.Match) -> str:
+    ch = match.group()
+    return _SHORT_ESCAPES.get(ch) or "\\u%04x" % ord(ch)
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE.sub(_escape_char, s)
 
 
 def _emit(obj: Any, parts: list[str], indent: int, pad: str) -> None:

@@ -40,11 +40,26 @@ def test_parse_space_shorthand():
     assert sp.weight_kind == "appendix"
 
 
+# inline JSON that decodes to no reaction or space, one for each kind of
+# exception that parsing it raises
+BAD_INLINE_F = ['{"family":"bogus"}',                     # ValueError
+                '{"family":"power"}',                     # KeyError
+                '{bad']                                   # JSONDecodeError
+BAD_INLINE_SPACE = ['{"n":4,"N":5,"weight":{"kind":"bogus"}}',  # ValueError
+                    '{"n":4,"weight":1}']                       # AttributeError
+
+
 def test_parse_errors():
     with pytest.raises(ConfigError):
         cli.parse_nonlinearity("nope:1")
     with pytest.raises(ConfigError):
         cli.parse_space("sphere:3")
+    for text in BAD_INLINE_F:
+        with pytest.raises(ConfigError, match="bad nonlinearity"):
+            cli.parse_nonlinearity(text)
+    for text in BAD_INLINE_SPACE:
+        with pytest.raises(ConfigError, match="bad space"):
+            cli.parse_space(text)
 
 
 # --- commands ------------------------------------------------------------------
@@ -158,7 +173,9 @@ def test_usage_errors_exit_two(tmp_path):
      "--N", "3"],
     ["solve", "--f", "power:2", "--space", "flat:4", "--R", "1", "--bv", "0.5",
      "--tol", "-1"],
-])
+] + [["indices", "--f", text, "--N", "5"] for text in BAD_INLINE_F] + [
+    ["verify", "--theorem", "1.9", "--space", text, "--f", "power:2", "--R", "1"]
+    for text in BAD_INLINE_SPACE])
 def test_out_of_range_flags_exit_two(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert run(argv + ["--out", str(out)]) == 2
@@ -245,6 +262,34 @@ def test_config_does_not_override_explicit_zero(tmp_path):
     assert run(base + ["--seed", "5", "--out", str(outs[2])]) == 0
     h = [json.loads(o.read_text())["config_hash"] for o in outs]
     assert h[0] == h[1] != h[2]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    # every main call in a process parses with the one cached parser
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "prof.csv"
+    solve = ["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
+             "--bv", "0.5", "--grid", "64", "--out", str(out)]
+    assert run(solve + ["--emit-plot-data"]) == 0
+    out.with_suffix(".plot.csv").unlink()
+    assert run(solve) == 0
+    assert out.exists() and not out.with_suffix(".plot.csv").exists()
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "lich:1,1,3,0,0.5", "N": 2.5,
+                               "theorem": "1.5", "alpha": 2.8, "seed": 7}))
+    assert run(["certify", "--config", str(cfg),
+                "--out", str(tmp_path / "c.json")]) == 0
+    golden = tmp_path / "cert_13_N4_power2.json"
+    assert run(["certify", "--f", "power:2", "--N", "4", "--theorem", "1.3",
+                "--out", str(golden)]) == 0
+    assert golden.read_bytes() == (GOLDEN / golden.name).read_bytes()
+
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run(["indices", "--f", "power:2",
+                "--out", str(tmp_path / "i.json")]) == 0
 
 
 def _run_probe(tmp_path, probe):

@@ -1,5 +1,6 @@
 """Canonical serialization and config hashing."""
 
+import json
 import math
 
 import numpy as np
@@ -38,6 +39,41 @@ def test_dumps_handles_numpy_and_special_values():
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         reporting.dumps({"x": object()})
+
+
+def per_char_escape(s):
+    """The escaper's reference: each character on its own, `"` and `\\`
+    backslashed and control characters as \\u escapes."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+ESCAPE_CASES = ["", "worst_margin", '"', "\\", "\n", "\t", "\x00", "\x1f",
+                "\x7f", "é", "∞", 'a"b\\c', '\\"', "x\ny\tz", "\x00\x1f\x7f",
+                'é"∞\\\n', "plain ∞ text\x1f"]
+
+
+def test_escape_matches_the_per_char_reference():
+    for s in ESCAPE_CASES:
+        expected = per_char_escape(s)
+        assert reporting._escape(s) == expected
+        assert reporting.dumps({s: s}) == '{\n  "%s": "%s"\n}\n' % (expected,
+                                                                     expected)
+        assert reporting.dumps([s]) == '[\n  "%s"\n]\n' % expected
+
+
+def test_dumps_round_trips_escaped_strings():
+    obj = {s: [s, {s + "k": s}] for s in ESCAPE_CASES}
+    assert json.loads(reporting.dumps(obj)) == obj
 
 
 def test_config_hash_sensitivity():
