@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -362,7 +363,12 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _check_ranges(args) -> None:
-    """Reject an out-of-range numeric flag before any command runs."""
+    """Reject a non-finite or out-of-range numeric flag before any command
+    runs."""
+    for action in build_parser()._actions:
+        value = getattr(args, action.dest) if action.type is float else None
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{action.dest} must be finite, got {value!r}")
     for key, low, closed in FLAG_RANGES:
         value = getattr(args, key)
         # written as `not in range` so that NaN is rejected too

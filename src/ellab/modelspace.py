@@ -46,6 +46,12 @@ class WeightedSpace:
     weight_params: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.N):
+            raise ValueError(f"synthetic dimension must be finite, got {self.N!r}")
+        if self.weight_params and not np.isfinite(
+                np.concatenate([np.ravel(p) for p in self.weight_params])).all():
+            raise ValueError(f"weight parameters must be finite, got "
+                             f"{self.weight_params!r}")
         if self.n < 1:
             raise ValueError("ambient dimension must be >= 1")
         if self.N < self.n:
@@ -336,6 +342,8 @@ def curvature_case_value(n: int, N: float, gamma: float) -> tuple[float, float, 
 
 def appendix_space(N: float, alpha: float, K: float) -> AppendixSpace:
     """Solve for mu so the model's curvature minimum is exactly -K."""
+    if not all(map(math.isfinite, (N, alpha, K))):
+        raise ValueError(f"N, alpha and K must be finite, got {(N, alpha, K)!r}")
     if N <= 3:
         raise ValueError("the exact family needs N > 3")
     if K <= 0:
@@ -466,6 +474,8 @@ def from_json(obj: dict) -> WeightedSpace:
     if kind == "appendix":
         alpha = float(w["alpha"])
         mu = float(w["mu"])
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
         gamma = decay_coefficient(n, alpha)
         return log_weight_space(n, N, gamma, mu)
     if kind == "custom-radial":

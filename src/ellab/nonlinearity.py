@@ -52,6 +52,10 @@ RATIO_CUTOFF = 1e-12  # |f| below this times the local scale: ratio undefined
 class PowerLaw:
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+
     @property
     def terms(self) -> tuple[tuple[float, float], ...]:
         return ((1.0, self.alpha),)
@@ -66,7 +70,9 @@ class PowerSum:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("PowerSum needs at least one term")
-        for k, _a in self.terms:
+        for k, a in self.terms:
+            if not (math.isfinite(k) and math.isfinite(a)):
+                raise ValueError(f"PowerSum terms must be finite, got {(k, a)!r}")
             if k <= 0:
                 raise ValueError("PowerSum coefficients must be positive")
 
@@ -82,6 +88,9 @@ class Lichnerowicz:
     tau: float
 
     def __post_init__(self):
+        params = (self.a, self.b, self.sigma, self.c, self.tau)
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"a, b, sigma, c, tau must be finite, got {params!r}")
         if self.sigma <= 1:
             raise ValueError("sigma must be > 1")
         if self.tau >= 1:

@@ -183,6 +183,49 @@ def test_out_of_range_flags_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+VERIFY_19 = ["verify", "--theorem", "1.9", "--f", "power:2", "--R", "0.5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["implications", "--f", "power:2", "--space", "flat:4:nan", "--R", "1",
+      "--grid", "64"], "'flat:4:nan'"),
+    (VERIFY_19 + ["--space", "appendix:5,2,nan"], "'appendix:5,2,nan'"),
+    (["indices", "--f", "lich:1,1,3,0,nan", "--N", "5"], "'lich:1,1,3,0,nan'"),
+    (["indices", "--f", "power:inf", "--N", "5"], "'power:inf'"),
+    (["indices", "--f", "powersum:1,2;-inf,3", "--N", "5"],
+     "'powersum:1,2;-inf,3'"),
+    (["indices", "--f", '{"family": "power", "alpha": NaN}', "--N", "5"],
+     '\'{"family": "power", "alpha": NaN}\''),
+    (VERIFY_19 + ["--space", '{"n": 4, "N": Infinity}'],
+     '\'{"n": 4, "N": Infinity}\''),
+    (VERIFY_19 + ["--space", '{"n": 4, "N": 5, "weight": {"kind": "appendix", '
+                             '"alpha": 2, "mu": NaN}}'], '"mu": NaN'),
+    (VERIFY_19 + ["--space", '{"n": 4, "N": 5, "weight": {"kind": "appendix", '
+                             '"alpha": Infinity, "mu": 1}}'], "alpha must be finite"),
+    (VERIFY_19 + ["--space", "appendix:5,2,inf"], "'appendix:5,2,inf'"),
+] + [(["indices", "--f", "power:2", f"--{flag}={value}"], f"--{flag} must be finite")
+     for flag, value in [("R", "inf"), ("bv", "inf"), ("N", "inf"), ("K", "inf"),
+                         ("alpha", "nan"), ("delta", "inf"), ("tol", "inf"),
+                         ("alpha", "-inf")]])
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, argv, named):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not out.exists()
+
+
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "power:2", "space": "flat:4", "R": 1.0,
+                               "bv": float("nan")}))
+    out = tmp_path / "prof.csv"
+    assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --bv must be finite, got nan")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("power, alpha", [("1.5", "3.5"), ("3.5", "1.5")])
 @pytest.mark.parametrize("command", [
     ["certify", "--N", "3"],
@@ -321,6 +364,20 @@ assert not solver, sorted(solver)
 
 def test_cheap_commands_load_no_scipy(tmp_path):
     _run_probe(tmp_path, _CHEAP_PROBE)
+
+
+_TABLES_PROBE = """
+from ellab import cli, reporting
+
+assert cli.main(["indices", "--f", "power:2", "--N", "5", "--out", "i.json"]) == 0
+assert reporting._kernel_tables.cache_info().currsize == 0
+"""
+
+
+def test_cold_commands_build_no_csv_tables(tmp_path):
+    # every command imports reporting; the CSV kernel's tables are built on
+    # the first CSV written
+    _run_probe(tmp_path, _TABLES_PROBE)
 
 
 # the README arguments of the solver, curvature and suite commands

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from ellab import reporting
+from ellab import cli, reporting
+from ellab import modelspace as ms
+from ellab import pdelab as pde
 
 
 def test_dumps_is_deterministic_and_sorted():
@@ -105,7 +107,7 @@ def per_cell_csv(header, cols):
 
 def test_write_csv_matches_the_per_cell_format(tmp_path):
     # the block writer must give the bytes of formatting cell by cell
-    rows = 4 * reporting.CSV_BLOCK + 3  # full blocks and a partial one
+    rows = 3 * reporting.CSV_BLOCK_CELLS // 4 + 3  # full blocks and a partial one
     floats = np.resize([1.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 0.1, 1 / 3],
                        rows)
     cols = [np.arange(rows), floats, np.arange(rows) % 3 == 0,
@@ -120,9 +122,14 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
     assert lines[1].split(",")[2] == "True"
 
 
-@pytest.mark.parametrize("rows", [reporting.CSV_BLOCK - 1, reporting.CSV_BLOCK,
-                                  reporting.CSV_BLOCK + 1,
-                                  4 * reporting.CSV_BLOCK + 3])
+# the tables below hold 9 distinct columns, so a block has
+# CSV_BLOCK_CELLS // 9 rows
+BLOCK_ROWS = reporting.CSV_BLOCK_CELLS // 9
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 1027, BLOCK_ROWS - 1,
+                                  BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  4 * BLOCK_ROWS + 3])
 def test_write_csv_tables_match_the_per_cell_format(tmp_path, rows):
     # r is shared as one object, q as one object and as an equal copy;
     # zero and negzero differ only in the sign of their zeros, so they
@@ -148,7 +155,125 @@ def test_write_csv_tables_match_the_per_cell_format(tmp_path, rows):
     assert (tmp_path / "a.csv").read_text().splitlines()[1].split(",")[2] == "0"
 
 
+def test_write_csv_formats_other_columns_cell_by_cell(tmp_path):
+    # columns the kernel does not take: float32, complex and str objects,
+    # one longer than a float cell
+    cols = [np.array([1.5, 0.1, -0.0], np.float32),
+            np.array([1 + 2j, 0j, -3j]),
+            np.array(["x" * 60, "é", "a b"], dtype=object),
+            np.array([0.1, 1e300, 2.5])]
+    path = tmp_path / "t.csv"
+    reporting.write_csv(path, ["f32", "c", "s", "x"], cols)
+    assert path.read_text(encoding="utf-8") == per_cell_csv(
+        ["f32", "c", "s", "x"], cols)
+
+
+def test_write_csv_refuses_a_nul_in_a_cell(tmp_path):
+    # NUL pads the formatted cells, so a cell may not hold one
+    with pytest.raises(ValueError):
+        reporting.write_csv(tmp_path / "t.csv", ["s"],
+                            [np.array(["a\0b"], dtype=object)])
+
+
 def test_write_csv_tables_refuse_unequal_rows(tmp_path):
     with pytest.raises(ValueError):
         reporting.write_csv_tables([(tmp_path / "a.csv", ["x"], [np.zeros(3)]),
                                     (tmp_path / "b.csv", ["x"], [np.zeros(4)])])
+
+
+def kernel_text(values):
+    """What the vectorized kernel prints for each value."""
+    values = np.asarray(values, dtype=np.float64)
+    cells = np.empty((len(values), reporting._SLOTS), np.uint8)
+    reporting._format_floats(values, cells)
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def exactness_battery():
+    """Values that stress each step of the kernel's exactness argument."""
+    rng = np.random.default_rng(1414)
+    tens = 10.0 ** np.arange(-20, 25)
+    edges = np.array([1e16, 1e17, 1e-11, 2.0**53, 2.0**63, 1e22, 5e-324,
+                      2.2250738585072014e-308, 1e308])
+    near = [np.nextafter(v, towards) for v in (tens, edges)
+            for towards in (0.0, np.inf)]
+    twice = [np.nextafter(v, towards) for v in near[2:] for towards in (0.0, np.inf)]
+    largest = np.finfo(np.float64).max
+    return np.concatenate([
+        np.arange(-30000, 30001, 3) * 2.0**-25,       # ties of k 2^-25
+        rng.integers(-2**53, 2**53, 20000) * 2.0**-25,
+        tens, edges, *near, *twice, [largest, np.nextafter(largest, 0.0)],
+        1e16 + np.arange(-64, 65) * 2.0, 1e17 + np.arange(-64, 65) * 16.0,
+        rng.integers(0, 2**52, 2000).view(np.float64),  # subnormals
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf],
+        rng.integers(-2**62, 2**62, 5000).astype(np.float64),
+        rng.integers(0, 2**64, 100000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(50000) * 10.0 ** rng.uniform(-12, 18, 50000),
+    ])
+
+
+def test_kernel_matches_format_on_the_exactness_battery():
+    values = exactness_battery()
+    values = np.concatenate([values, -values[:100000]])
+    assert kernel_text(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def test_kernel_prints_the_tenth_powers_neighbours():
+    # 1e-07 lies just below 10^-7, so its exponent is -8: a kernel that
+    # checks the range after rounding prints "1e-07"
+    assert kernel_text([1e-07, 1e16, 1e17, 0.1, 1.0]) == [
+        "9.9999999999999995e-08", "10000000000000000", "1e+17",
+        "0.10000000000000001", "1"]
+
+
+def test_kernel_formats_most_cells_itself(monkeypatch):
+    # the per-cell fallback takes only the cells the kernel cannot prove
+    # exact: near-ties, about 1 in 32 here
+    counted = []
+    text_cells = reporting._text_cells
+    monkeypatch.setattr(reporting, "_text_cells",
+                        lambda strings, width: counted.append(len(strings))
+                        or text_cells(strings, width))
+    values = np.random.default_rng(7).standard_normal(20000)
+    assert kernel_text(values) == [format(v, ".17g") for v in values.tolist()]
+    assert sum(counted) < 0.05 * len(values)
+
+
+def test_write_csv_matches_format_on_the_battery(tmp_path):
+    values = exactness_battery()[::8]
+    big = np.array([-2**63, 2**63 - 1, 0, 10**18, -(10**17)], dtype=np.int64)
+    cols = [values, np.resize(big, len(values)),
+            np.arange(len(values)) % 5 == 0, -values]
+    path = tmp_path / "battery.csv"
+    reporting.write_csv(path, ["x", "i", "flag", "minus_x"], cols)
+    assert path.read_text() == per_cell_csv(["x", "i", "flag", "minus_x"], cols)
+
+
+def export_cases():
+    asp = ms.appendix_space(5.0, 2.0, 1.0)
+    bv = float(ms.appendix_solution(asp, np.array([1.0]))[0][0])
+    return [("flat:4", 1.0, 0.5), ("appendix:5,2,1", 0.5, bv)]
+
+
+@pytest.mark.parametrize("extended", [True, False])
+@pytest.mark.parametrize("space, R, bv", export_cases())
+def test_solve_export_matches_the_per_cell_format(tmp_path, monkeypatch,
+                                                  space, R, bv, extended):
+    # the export op at m = 4096 on both spaces; without an extended-precision
+    # longdouble every cell takes the per-cell format, with the same bytes
+    if not extended:
+        monkeypatch.setattr(reporting, "_extended_precision", lambda: False)
+    out = tmp_path / "profile.csv"
+    assert cli.main(["solve", "--f", "power:2", "--space", space, "--R", repr(R),
+                     "--bv", repr(bv), "--grid", "4096", "--emit-plot-data",
+                     "--out", str(out)]) == 0
+    prof = pde.solve_radial_bvp(cli.parse_space(space),
+                                cli.parse_nonlinearity("power:2"), R, bv,
+                                pde.SolverConfig(m=4096))
+    header, cols = pde.profile_table(prof)
+    assert out.read_text() == per_cell_csv(header, cols)
+    plot = [cols[header.index("r")], cols[header.index("Q")]]
+    assert out.with_suffix(".plot.csv").read_text() == per_cell_csv(
+        ["r", "diag"], plot)
+
