@@ -676,7 +676,7 @@ def amgm_slots(cert: Certificate, spec: nl.NonlinearitySpec, u: np.ndarray):
     `coeffs_first_kind` at (r1, r2) = (0, 0), (1, 0) and (0, 1).
     """
     f, df, d2f = nl.evaluate_many(spec, u)
-    mask = nl.ratio_mask(spec, u, f, df)
+    mask = nl.ratio_mask(spec, u, f)
     if cert.d > 0 and not np.all(mask):
         raise HypothesisViolation("recipes with d > 0 need f > 0 on the whole grid")
     f_safe = np.where(mask, f, 1.0)

@@ -9,16 +9,8 @@ class NonPositiveArgument(LabError):
     """Nonlinearity evaluated at t <= 0."""
 
 
-class EvaluationFailure(LabError):
-    """A user-supplied function handle raised while being evaluated."""
-
-
 class SignChange(LabError):
     """f vanishes on (0, inf) although it was declared positive."""
-
-
-class Divergence(LabError):
-    """An index ratio is unbounded although finiteness was required."""
 
 
 class RhoUndefined(LabError):

@@ -32,6 +32,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidAlpha
 
+CURVATURE_SAMPLES = 4096  # nodes of curvature_bound's grid before refinement
+# sharpness_quantity samples its diagnostic on [0, SHARPNESS_EXTENT * mu]
+SHARPNESS_EXTENT = 50.0
+
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -277,14 +281,14 @@ def _refine_min(fn, grid: np.ndarray) -> tuple[float, float]:
     return float(vals[i]), float(grid[i])
 
 
-def curvature_bound(space: WeightedSpace, r_max: float, samples: int = 4096) -> CurvatureReport:
+def curvature_bound(space: WeightedSpace, r_max: float) -> CurvatureReport:
     """Minimum of both eigenvalue curves over [0, r_max] and the implied K."""
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     if space.weight_kind == "zero":
         # phi' and phi'' vanish identically, so both curves are zero
         return CurvatureReport(0.0, 0.0, "radial", 0.0, r_max)
-    grid = np.linspace(0.0, r_max, samples)
+    grid = np.linspace(0.0, r_max, CURVATURE_SAMPLES)
     m_rad, r_rad = _refine_min(lambda r: radial_eigenvalue(space, r), grid)
     m_tan, r_tan = _refine_min(lambda r: tangential_eigenvalue(space, r), grid)
     if m_rad <= m_tan:
@@ -405,17 +409,6 @@ def appendix_relative_residual(aspace: AppendixSpace) -> float:
     return float(np.max(np.abs(res)) / np.max(u**aspace.alpha))
 
 
-def appendix_solution_second(aspace: AppendixSpace, r):
-    """u'' of the closed form (for profile construction)."""
-    r = np.asarray(r, dtype=float)
-    alpha, mu = aspace.alpha, aspace.mu
-    s = mu * mu + r * r
-    u, du, _, _ = appendix_solution(aspace, r)
-    v = -4.0 * r / ((alpha - 1.0) * s)
-    dv = -4.0 * (mu * mu - r * r) / ((alpha - 1.0) * s**2)
-    return u * (v * v + dv)
-
-
 def weighted_laplacian_values(space: WeightedSpace, u, du, d2u, r) -> np.ndarray:
     """u'' + ((n-1)/r) u' - phi'(r) u' from precomputed radial derivatives."""
     r = np.asarray(r, dtype=float)
@@ -435,15 +428,12 @@ def weighted_laplacian_values(space: WeightedSpace, u, du, d2u, r) -> np.ndarray
     return out
 
 
-def sharpness_quantity(aspace: AppendixSpace, r_max: Optional[float] = None):
+def sharpness_quantity(aspace: AppendixSpace):
     """sup over r of |grad u|^2/u^2 + u^(alpha-1), and its ratio to K.
 
     The diagnostic decays at infinity, so a generous truncated domain with
     1-D refinement locates the supremum.
     """
-    if r_max is None:
-        r_max = 50.0 * aspace.mu
-
     alpha, n, mu = aspace.alpha, aspace.n, aspace.mu
 
     def diag(r):
@@ -453,7 +443,7 @@ def sharpness_quantity(aspace: AppendixSpace, r_max: Optional[float] = None):
         upow = 4.0 * n * mu * mu / ((alpha - 1.0) * s**2)
         return grad_log_sq + upow
 
-    grid = np.linspace(0.0, r_max, 8193)
+    grid = np.linspace(0.0, SHARPNESS_EXTENT * mu, 8193)
     neg = lambda r: -diag(r)
     m, argmax = _refine_min(neg, grid)
     sup = -m

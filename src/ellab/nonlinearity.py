@@ -24,17 +24,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    Divergence,
-    EvaluationFailure,
-    NonPositiveArgument,
-    RhoUndefined,
-    SignChange,
-    UnsupportedTheorem,
-)
+from .errors import NonPositiveArgument, RhoUndefined, SignChange, UnsupportedTheorem
 
-# Default sampling grid for indices of black-box terms: log-spaced on
-# [1e-8, 1e8].  inf/sup over (0, inf) are otherwise uncomputable.
+# Sampling grid for the second index of a power sum with several exponents:
+# log-spaced on [1e-8, 1e8], refined locally around the smallest sample.
 GRID_LO = 1e-8
 GRID_HI = 1e8
 GRID_POINTS = 4096
@@ -44,8 +37,8 @@ RATIO_CUTOFF = 1e-12  # |f| below this times the local scale: ratio undefined
 
 # ---------------------------------------------------------------------------
 # families
-# Every analytic family is a finite sum of signed monomials k t^a, exposed as
-# `terms`; evaluation, indices and hypothesis checks read only that sum.
+# Every family is a finite sum of signed monomials k t^a, exposed as `terms`;
+# evaluation, indices and hypothesis checks read only that sum.
 
 
 @dataclass(frozen=True)
@@ -104,16 +97,7 @@ class Lichnerowicz:
         return tuple((k, e) for k, e in mono if k != 0)
 
 
-@dataclass(frozen=True)
-class Custom:
-    """Black-box term given by value/derivative handles on (0, inf)."""
-
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    d2f: Callable[[float], float]
-
-
-Family = PowerLaw | PowerSum | Lichnerowicz | Custom
+Family = PowerLaw | PowerSum | Lichnerowicz
 
 
 @dataclass(frozen=True)
@@ -138,15 +122,6 @@ def lichnerowicz(a: float, b: float, sigma: float, c: float, tau: float) -> Nonl
     return NonlinearitySpec(fam, positive=positive)
 
 
-def custom(f, df, d2f, positive: bool) -> NonlinearitySpec:
-    return NonlinearitySpec(Custom(f, df, d2f), positive=positive)
-
-
-def zero() -> NonlinearitySpec:
-    """f identically zero (linear test problems)."""
-    return custom(lambda t: 0.0, lambda t: 0.0, lambda t: 0.0, positive=False)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -156,52 +131,30 @@ def evaluate_many(spec: NonlinearitySpec, t: np.ndarray):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise NonPositiveArgument("nonlinearity sampled at t <= 0")
-    fam = spec.family
-    if not isinstance(fam, Custom):
-        terms = fam.terms
-        if not terms:
-            return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-        # accumulate in place and skip the multiply by k = 1 of a pure power:
-        # the solver makes thousands of small-grid calls, where each pass counts
-        (k, a), *rest = terms
-        f = t**a if k == 1.0 else k * t**a
-        df, d2f = k * a * t ** (a - 1), k * a * (a - 1) * t ** (a - 2)
-        for k, a in rest:
-            f += k * t**a
-            df += k * a * t ** (a - 1)
-            d2f += k * a * (a - 1) * t ** (a - 2)
-        return f, df, d2f
-    # Custom: scalar handles, looped over the flattened input
-    flat = t.ravel()
-    try:
-        f = np.array([float(fam.f(x)) for x in flat])
-        df = np.array([float(fam.df(x)) for x in flat])
-        d2f = np.array([float(fam.d2f(x)) for x in flat])
-    except Exception as exc:  # noqa: BLE001 - user handle can raise anything
-        raise EvaluationFailure(f"custom handle failed: {exc}") from exc
-    if t.ndim == 0:
-        return f[0], df[0], d2f[0]
-    return f.reshape(t.shape), df.reshape(t.shape), d2f.reshape(t.shape)
+    terms = spec.family.terms
+    if not terms:
+        return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    # accumulate in place and skip the multiply by k = 1 of a pure power:
+    # the solver makes thousands of small-grid calls, where each pass counts
+    (k, a), *rest = terms
+    f = t**a if k == 1.0 else k * t**a
+    df, d2f = k * a * t ** (a - 1), k * a * (a - 1) * t ** (a - 2)
+    for k, a in rest:
+        f += k * t**a
+        df += k * a * t ** (a - 1)
+        d2f += k * a * (a - 1) * t ** (a - 2)
+    return f, df, d2f
 
 
-def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray,
-               df: Optional[np.ndarray] = None) -> np.ndarray:
+def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Nodes where the ratios t f'/f and t^2 f''/f are numerically reliable.
 
-    f may vanish at isolated points (sign-changing families); ratios are only
-    formed where |f| exceeds 1e-12 of the local term scale, sum |k| t^a for a
-    monomial sum.
+    f may vanish at isolated points (sign-changing families), and a monomial
+    may under- or overflow; ratios are only formed where |f| exceeds 1e-12 of
+    the local term scale sum |k| t^a.
     """
-    fam = spec.family
-    if isinstance(fam, Custom):
-        scale = np.abs(f) if df is None else np.abs(f) + np.abs(t * df)
-    else:
-        scale = sum(abs(k) * t**a for k, a in fam.terms)
+    scale = sum(abs(k) * t**a for k, a in spec.family.terms)
     return np.abs(f) > RATIO_CUTOFF * np.maximum(scale, 1e-300)
-
-
-def log_grid(lo: float = GRID_LO, hi: float = GRID_HI, n: int = GRID_POINTS) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +166,7 @@ class IndexReport:
     """Structural indices of a term, with per-index finiteness flags.
 
     `method` is "analytic" when the values are exact closed forms and
-    "sampled" when they are grid infima/suprema; certificates built on
+    "sampled" when the second index is a grid infimum; certificates built on
     sampled indices inherit the tag.
     """
 
@@ -237,85 +190,51 @@ class IndexReport:
         }
 
 
-def _refine_extremum(fn, t0: float, factor: float, rounds: int, minimize: bool) -> float:
-    """Local log-scale refinement of a sampled extremum (bisection-style)."""
+def _refine_minimum(fn, t0: float, factor: float, rounds: int) -> float:
+    """Local log-scale refinement of a sampled minimum (bisection-style)."""
     lo, hi = t0 / factor, t0 * factor
-    best_t, best_v = t0, fn(t0)
+    best_v = float(fn(t0)[0])
     for _ in range(rounds):
         ts = np.geomspace(lo, hi, 33)
         vs = fn(ts)
-        i = int(np.argmin(vs) if minimize else np.argmax(vs))
-        if (vs[i] < best_v) == minimize and vs[i] != best_v:
-            best_t, best_v = float(ts[i]), float(vs[i])
+        i = int(np.argmin(vs))
+        if vs[i] < best_v:
+            best_v = float(vs[i])
         lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
     return best_v
 
 
-def _sampled_indices(spec: NonlinearitySpec, grid: Optional[np.ndarray],
-                     require_finite: bool) -> IndexReport:
-    if grid is None:
-        grid = log_grid()
-    f, df, d2f = evaluate_many(spec, grid)
-    if spec.positive and np.any(f <= 0):
-        raise SignChange("f vanishes or changes sign although declared positive")
-    ok = ratio_mask(spec, grid, f, df)
-    if not np.any(ok):
-        raise Divergence("no grid node admits a well-defined ratio")
-    t, fv, dfv, d2fv = grid[ok], f[ok], df[ok], d2f[ok]
-    r1 = t * dfv / fv
-    r2 = t * t * d2fv / fv
+def _sampled_second(spec: NonlinearitySpec) -> float:
+    """inf of t^2 f''/f over the sampling grid, refined around its minimum.
 
-    def ratio1(ts):
-        ff, dd, _ = evaluate_many(spec, np.atleast_1d(ts))
-        return np.atleast_1d(ts) * dd / ff
+    Nodes where a monomial under- or overflows fail `ratio_mask`; if none is
+    left, the termwise floor min a(a - 1) bounds the weighted mean below.
+    """
+    grid = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
 
     def ratio2(ts):
-        ff, _, d2 = evaluate_many(spec, np.atleast_1d(ts))
-        return np.atleast_1d(ts) ** 2 * d2 / ff
+        ts = np.atleast_1d(ts)
+        ff, _, d2 = evaluate_many(spec, ts)
+        return ts**2 * d2 / ff
 
-    lo_i, hi_i, se_i = int(np.argmin(r1)), int(np.argmax(r1)), int(np.argmin(r2))
-    lower = _refine_extremum(ratio1, float(t[lo_i]), 4.0, 6, minimize=True)
-    upper = _refine_extremum(ratio1, float(t[hi_i]), 4.0, 6, minimize=False)
-    second = _refine_extremum(ratio2, float(t[se_i]), 4.0, 6, minimize=True)
-
-    # endpoint growth heuristic: if the outermost decade's envelope runs away
-    # from the adjacent decade's, the extremum is treated as unbounded
-    def _diverges(ts, vals, minimize):
-        decades = np.floor(np.log10(ts)).astype(int)
-        edges = [decades == d for d in np.unique(decades)]
-        ext = np.array([(np.min if minimize else np.max)(vals[e]) for e in edges])
-        if len(ext) < 4:
-            return False
-        if not minimize:
-            ext = -ext
-        # the outer two decades share the same envelope scale on a log grid,
-        # so each edge is compared against the pool two decades in
-        for end, pool in ((min(ext[-1], ext[-2]), ext[:-2]),
-                          (min(ext[0], ext[1]), ext[2:])):
-            if end < min(-1.0, 3.0 * np.min(pool)):
-                return True
-        return False
-
-    lower_fin = not _diverges(t, r1, True)
-    upper_fin = not _diverges(t, r1, False)
-    second_fin = not _diverges(t, r2, True)
-    if require_finite and not second_fin:
-        raise Divergence("second-order ratio unbounded below on the sampling grid")
-    return IndexReport(lower, upper, second,
-                       lower_fin, upper_fin, second_fin, method="sampled")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, _, d2f = evaluate_many(spec, grid)
+        ok = ratio_mask(spec, grid, f)
+        if not np.any(ok):
+            return min(a * (a - 1) for _k, a in spec.family.terms)
+        t = grid[ok]
+        r2 = t * t * d2f[ok] / f[ok]
+        return _refine_minimum(ratio2, float(t[np.argmin(r2)]), 4.0, 6)
 
 
-def compute_indices(spec: NonlinearitySpec, grid: Optional[np.ndarray] = None,
-                    require_finite: bool = False) -> IndexReport:
+def compute_indices(spec: NonlinearitySpec) -> IndexReport:
     """Structural indices (lower, upper, second) of the term.
 
     Closed forms for a monomial sum of one sign and one exponent or of mixed
-    signs; grid infima/suprema with local refinement otherwise.
+    signs.  For one sign and several exponents, lower and upper are the
+    extreme exponents and the second index is sampled.
     """
-    fam = spec.family
-    if isinstance(fam, Custom):
-        return _sampled_indices(spec, grid, require_finite)
-    signs = {k > 0 for k, _a in fam.terms}
+    signs = {k > 0 for k, _a in spec.family.terms}
     if not signs:
         raise SignChange("identically zero term")
     if len(signs) == 2:
@@ -326,15 +245,14 @@ def compute_indices(spec: NonlinearitySpec, grid: Optional[np.ndarray] = None,
             raise SignChange("f has a positive root although declared positive")
         return IndexReport(-math.inf, math.inf, -math.inf,
                            False, False, False, "analytic")
-    exponents = [a for _k, a in fam.terms]
+    exponents = [a for _k, a in spec.family.terms]
     lo, hi = min(exponents), max(exponents)
     if lo == hi:
         return IndexReport(lo, hi, lo * (lo - 1), True, True, True, "analytic")
     # t f'/f is a weighted mean of the exponents, monotone from min to max;
     # the second ratio is a weighted mean of a_i(a_i - 1) whose infimum is
     # located by sampling between the endpoint limits.
-    rep = _sampled_indices(spec, grid, require_finite)
-    second = min(rep.second, lo * (lo - 1), hi * (hi - 1))
+    second = min(_sampled_second(spec), lo * (lo - 1), hi * (hi - 1))
     return IndexReport(lo, hi, second, True, True, True, "sampled")
 
 
@@ -426,83 +344,41 @@ def normalize_theorem(name: str) -> str:
     return t
 
 
-def power_ratio_nonincreasing(spec: NonlinearitySpec, alpha: float,
-                              grid: Optional[np.ndarray] = None) -> bool:
+def power_ratio_nonincreasing(spec: NonlinearitySpec, alpha: float) -> bool:
     """Whether t^-alpha f(t) is non-increasing, i.e. t f'(t) <= alpha f(t)."""
-    fam = spec.family
-    if not isinstance(fam, Custom):
-        # termwise: t f' - alpha f = sum k (a - alpha) t^a
-        return all(k * (a - alpha) <= 0 for k, a in fam.terms)
-    g = grid if grid is not None else log_grid()
-    f, df, _ = evaluate_many(spec, g)
-    slack = g * df - alpha * f
-    return bool(np.all(slack <= 1e-12 * (np.abs(f) + np.abs(g * df) + 1e-300)))
+    # termwise: t f' - alpha f = sum k (a - alpha) t^a
+    return all(k * (a - alpha) <= 0 for k, a in spec.family.terms)
 
 
-def ratio_nondecreasing(spec: NonlinearitySpec, grid: Optional[np.ndarray] = None) -> bool:
-    """Whether t f'/f is non-decreasing: termwise for a sum with positive
-    coefficients, otherwise tested as r2 >= r1(r1 - 1) on the grid."""
-    fam = spec.family
-    if not isinstance(fam, Custom) and fam.terms and all(k > 0 for k, _a in fam.terms):
-        # t f'/f is the mean of the exponents under the weights k t^a / f, and
-        # its derivative in log t is their variance, which is >= 0
-        return True
-    g = grid if grid is not None else log_grid()
-    f, df, d2f = evaluate_many(spec, g)
-    ok = ratio_mask(spec, g, f)
-    if not np.any(ok):
-        return False
-    t, fv = g[ok], f[ok]
-    r1 = t * df[ok] / fv
-    r2 = t * t * d2f[ok] / fv
-    gap = r2 - r1 * (r1 - 1.0)
-    return bool(np.all(gap >= -1e-9 * (1.0 + np.abs(r1) ** 2)))
+def ratio_nondecreasing(spec: NonlinearitySpec) -> bool:
+    """Whether t f'/f is non-decreasing on (0, inf).
+
+    True iff the sum has terms and all share a sign: then t f'/f is the mean
+    of the exponents under the positive weights k t^a / f, and its derivative
+    in log t is their variance, which is >= 0.  With mixed signs f has a
+    positive root, around which t f'/f is unbounded both ways.
+    """
+    return len({k > 0 for k, _a in spec.family.terms}) == 1
 
 
 def vanishing_slope_at_zero(spec: NonlinearitySpec) -> bool:
     """V1: f(t)/t -> 0 as t -> 0+."""
-    fam = spec.family
-    if not isinstance(fam, Custom):
-        return all(a > 1 for _k, a in fam.terms)  # the smallest exponent
-    ts = np.geomspace(1e-14, 1e-6, 9)
-    f, _, _ = evaluate_many(spec, ts)
-    vals = np.abs(f / ts)
-    return vals[0] < 1e-6 and vals[0] <= vals[-1]
+    return all(a > 1 for _k, a in spec.family.terms)  # the smallest exponent
 
 
-def inverse_bounded(spec: NonlinearitySpec, beta: float,
-                    grid: Optional[np.ndarray] = None):
+def inverse_bounded(spec: NonlinearitySpec, beta: float):
     """Whether g(t) = t^(-1-beta) f(t) is increasing with a quantified inverse.
 
     Returns (ok, h) where h maps a ratio bound C to the factor in t <= h(C) eps.
-    Exact for monomial sums with positive coefficients; grid-verified
-    (range-limited) for Custom.
+    Exact for monomial sums with positive coefficients.
     """
-    fam = spec.family
-    if not isinstance(fam, Custom):
-        if not fam.terms or any(k < 0 for k, _a in fam.terms):
-            return False, None
-        p0 = min(a for _k, a in fam.terms) - 1 - beta
-        if p0 <= 0:
-            return False, None
-        return True, (lambda C, p0=p0: max(1.0, C ** (1.0 / p0)))
-    g = grid if grid is not None else log_grid(1e-6, 1e6, 2048)
-    f, _, _ = evaluate_many(spec, g)
-    vals = g ** (-1.0 - beta) * f
-    if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
+    terms = spec.family.terms
+    if not terms or any(k < 0 for k, _a in terms):
         return False, None
-
-    def h_emp(C: float, t=g, v=vals) -> float:
-        # empirical inverse modulus on the sampled range: worst t/eps with
-        # v(t) <= C v(eps)
-        worst = 1.0
-        for j in range(0, len(t), 64):
-            hi = np.searchsorted(v, C * v[j], side="right") - 1
-            if hi > j:
-                worst = max(worst, t[hi] / t[j])
-        return worst
-
-    return True, h_emp
+    p0 = min(a for _k, a in terms) - 1 - beta
+    if p0 <= 0:
+        return False, None
+    return True, (lambda C, p0=p0: max(1.0, C ** (1.0 / p0)))
 
 
 def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
@@ -587,4 +463,4 @@ def to_json(spec: NonlinearitySpec) -> dict:
     if isinstance(fam, Lichnerowicz):
         return {"family": "lichnerowicz", "a": fam.a, "b": fam.b,
                 "sigma": fam.sigma, "c": fam.c, "tau": fam.tau}
-    raise ValueError("custom nonlinearities have no JSON form")
+    raise ValueError(f"unknown nonlinearity family {fam!r}")

@@ -62,6 +62,7 @@ BLOWUP_FACTOR = 1e8    # max(u) / boundary value that counts as blow-up
 BRANCH_CENTRES = 0.1 * np.geomspace(2.0**-40, 2.0**40, 1023)
 BRANCH_GRID = 128      # intervals of the coarse march over those centres
 REFINE_CENTRES = 65    # centres between two of those that refine the maximum
+EPS_REL_TOL = 1e-12    # relative width at which choose_epsilon stops bisecting
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -88,7 +89,6 @@ class SolutionProfile:
     grid: RadialGrid
     u: np.ndarray
     du: np.ndarray
-    d2u: np.ndarray
     space: ms.WeightedSpace
     spec: nl.NonlinearitySpec
     boundary_value: float
@@ -299,8 +299,8 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
 
     if failure is not None:
         raise failure
-    du, d2u = _fd_derivatives(full, h)
-    return [SolutionProfile(grid, full[j], du[j], d2u[j], space, spec,
+    du = np.gradient(full, h, axis=-1, edge_order=2)
+    return [SolutionProfile(grid, full[j], du[j], space, spec,
                             float(bvs[j]), float(norms[j]),
                             {"newton_iterations": int(steps[j]), "m": m, "R": R})
             for j in range(bvs.size)]
@@ -379,9 +379,8 @@ def exact_profile(aspace: ms.AppendixSpace, R: float, m: int = 2048) -> Solution
     """Profile of the closed-form solution with analytic derivatives."""
     grid = RadialGrid.uniform(R, m)
     u, du, _, res = ms.appendix_solution(aspace, grid.nodes)
-    d2u = ms.appendix_solution_second(aspace, grid.nodes)
     spec = nl.power(aspace.alpha)
-    return SolutionProfile(grid, u, du, d2u, aspace.space, spec,
+    return SolutionProfile(grid, u, du, aspace.space, spec,
                            float(u[-1]), float(np.max(np.abs(res))),
                            {"exact": True, "mu": aspace.mu, "R": R})
 
@@ -435,8 +434,7 @@ def diagnostics(profile: SolutionProfile, spec: nl.NonlinearitySpec,
 # epsilon selection
 
 
-def choose_epsilon(spec: nl.NonlinearitySpec, L: float, K: float, R: float,
-                   rel_tol: float = 1e-12) -> float:
+def choose_epsilon(spec: nl.NonlinearitySpec, L: float, K: float, R: float) -> float:
     """The unique eps > 0 with f(L eps)/(L eps) = K + 1/R^2.
 
     Needs f(t)/t -> 0 at zero and nondecreasing (lower index >= 1); without
@@ -467,7 +465,7 @@ def choose_epsilon(spec: nl.NonlinearitySpec, L: float, K: float, R: float,
             raise NoRoot("f(t)/t stays below the target level")
         prev = gv
         hi *= 10.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > EPS_REL_TOL * hi:
         mid = math.sqrt(lo * hi)
         if g(mid) < target:
             lo = mid

@@ -223,18 +223,19 @@ def _significand(a: np.ndarray, pow10: np.ndarray):
     for each positive float64 a.
 
     With X = floor(log10 a), y = a 10^(16 - X) is formed in longdouble:
-    10^k is exact there for k <= 27, so y has one rounding, of at most
-    2^-8.  Its nearest integer D is then the correctly rounded significand
-    unless y lies near a half-integer.  D is exact when |y - D| < 0.5 - 2^-6
-    and 1e16 < D < 1e17 (else X was off by one, or a rounds to a power of
-    ten).
+    10^k is exact there for k <= 27, so y is the exact product correctly
+    rounded.  Every half-integer below 2^57 is a longdouble, so that
+    rounding never carries y across one, and the nearest integer D of y is
+    the correctly rounded significand unless y lies exactly on a
+    half-integer.  D is exact when |y - D| < 0.5 and 1e16 < D < 1e17 (else
+    X was off by one, or a rounds to a power of ten).
     """
     X = np.clip(np.floor(np.log10(a)), _X_MIN, _X_MAX).astype(np.intp)
     # y + 0.5 is exact, so its floor is D and its fraction y - D + 0.5
     t = a.astype(np.longdouble) * np.take(pow10, 16 - X) + 0.5
     D = t.astype(np.int64)
     tie = np.abs((t - D).astype(np.float64) - 0.5)
-    return X, D, (D > 10**16) & (D < 10**17) & (tie < 0.5 - 2.0**-6)
+    return X, D, (D > 10**16) & (D < 10**17) & (tie < 0.5)
 
 
 def _digits(D: np.ndarray, trailing: np.ndarray):

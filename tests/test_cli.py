@@ -77,6 +77,33 @@ def test_indices_command(tmp_path):
     assert data["hypotheses"]["1.7"]["satisfied"]
 
 
+def test_sampled_second_index_is_a_number(tmp_path):
+    # for t^2 + t^10 the sampled minimum sits at the grid's first node,
+    # where refinement finds no lower value
+    out = tmp_path / "idx.json"
+    assert run(["indices", "--f", "powersum:1,2;1,10", "--N", "5",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["indices"]["second_order_index"] == 2.0
+    out = tmp_path / "cert.json"
+    run(["certify", "--f", "powersum:1,2;1,10", "--N", "1.2", "--theorem", "1.3",
+         "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert data["indices"]["second_order_index"] == 2.0
+    assert isinstance(data["notes"]["H_at_choice"], float)
+
+
+@pytest.mark.parametrize("f,lower,upper", [("powersum:1,45;1,50", 45.0, 50.0),
+                                           ("powersum:1,2;1,45", 2.0, 45.0)])
+def test_indices_of_high_exponents(tmp_path, f, lower, upper):
+    # t^45 under- and overflows on the sampling grid; f stays positive, and
+    # the RuntimeWarning filter fails the test on any overflow warning
+    out = tmp_path / "idx.json"
+    assert run(["indices", "--f", f, "--N", "5", "--out", str(out)]) == 0
+    idx = json.loads(out.read_text())["indices"]
+    assert (idx["lower_index"], idx["upper_index"]) == (lower, upper)
+    assert idx["second_order_index"] == pytest.approx(lower * (lower - 1), rel=1e-12)
+
+
 def test_appendix_command(tmp_path):
     out = tmp_path / "app.json"
     assert run(["appendix", "--N", "5", "--alpha", "2", "--K", "1",
@@ -488,6 +515,8 @@ def test_suite_exit_code(tmp_path, monkeypatch, capsys):
      ["indices", "--f", "powersum:1,2;1,3", "--N", "5"]),
     ("indices_N4_lich_b0.json",
      ["indices", "--f", "lich:1,0,3,2,0.5", "--N", "4"]),
+    ("indices_N4_allen_cahn.json",
+     ["indices", "--f", "lich:1,1,3,0,0.5", "--N", "4"]),
 ])
 def test_golden_certificates(tmp_path, name, argv):
     out = tmp_path / name

@@ -83,7 +83,7 @@ def test_cross_terms_match_first_kind_V(N, theorem, spec, kw):
     assert cert.d > 0 or theorem != "1.3"
     u = np.geomspace(*ct.DEFAULT_U_RANGE, ct.U_POINTS)
     f, df, d2f = nl.evaluate_many(spec, u)
-    m = nl.ratio_mask(spec, u, f, df)
+    m = nl.ratio_mask(spec, u, f)
     U, V, W = ct.coeffs_first_kind(N, cert.beta, cert.gamma, cert.d, u[m], 0.0,
                                    u[m] * df[m] / f[m], u[m] ** 2 * d2f[m] / f[m])
     _, _, cross, y, mask = ct.amgm_slots(cert, spec, u)

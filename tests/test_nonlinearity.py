@@ -1,7 +1,7 @@
 """Tests for the nonlinearity module: evaluation, indices, exponents, hypotheses."""
 
-import functools
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -19,6 +19,47 @@ def sampled_ratio_extrema(spec, lo=1e-10, hi=1e10, n=200001):
     r1 = t * df / f
     r2 = t * t * d2f / f
     return r1.min(), r1.max(), r2.min()
+
+
+# Dense-grid answers to the hypothesis checks, which `nonlinearity` gives
+# termwise from the monomial sum: each tests its property at every node.
+ORACLE_GRID = np.geomspace(1e-8, 1e8, 20001)
+
+
+def sampled_power_ratio_nonincreasing(spec, alpha, t=ORACLE_GRID):
+    """t f' <= alpha f at every node, up to rounding."""
+    f, df, _ = nl.evaluate_many(spec, t)
+    slack = t * df - alpha * f
+    return bool(np.all(slack <= 1e-12 * (np.abs(f) + np.abs(t * df) + 1e-300)))
+
+
+def sampled_ratio_nondecreasing(spec, t=ORACLE_GRID):
+    """(t f'/f)' >= 0 in log t, i.e. r2 >= r1 (r1 - 1), at every node where
+    the ratios are reliable."""
+    f, df, d2f = nl.evaluate_many(spec, t)
+    ok = nl.ratio_mask(spec, t, f)
+    if not np.any(ok):
+        return False
+    t, fv = t[ok], f[ok]
+    r1 = t * df[ok] / fv
+    r2 = t * t * d2f[ok] / fv
+    gap = r2 - r1 * (r1 - 1.0)
+    return bool(np.all(gap >= -1e-9 * (1.0 + np.abs(r1) ** 2)))
+
+
+def sampled_vanishing_slope_at_zero(spec):
+    """|f(t)/t| small at t = 1e-14 and not above its value at 1e-6."""
+    t = np.geomspace(1e-14, 1e-6, 9)
+    f, _, _ = nl.evaluate_many(spec, t)
+    vals = np.abs(f / t)
+    return bool(vals[0] < 1e-6 and vals[0] <= vals[-1])
+
+
+def sampled_inverse_increasing(spec, beta, t=np.geomspace(1e-6, 1e6, 20001)):
+    """t^(-1-beta) f(t) positive and strictly increasing over the nodes."""
+    f, _, _ = nl.evaluate_many(spec, t)
+    vals = t ** (-1.0 - beta) * f
+    return bool(np.all(vals > 0) and np.all(np.diff(vals) > 0))
 
 
 def fd_derivatives(spec, t, rel=1e-3):
@@ -122,9 +163,7 @@ def test_indices_power_sum_min_max_rule():
 def test_index_bounds_hold_at_random_points():
     rng = np.random.default_rng(42)
     specs = [nl.power(1.7), nl.power_sum([(1, 1.2), (0.5, 2.8)]),
-             nl.custom(lambda t: t**2 + t**3,
-                       lambda t: 2 * t + 3 * t**2,
-                       lambda t: 2 + 6 * t, positive=True)]
+             nl.power_sum([(1, 2), (1, 3)])]
     for spec in specs:
         rep = nl.compute_indices(spec)
         t = rng.uniform(1e-3, 1e3, 10_000)
@@ -133,6 +172,13 @@ def test_index_bounds_hold_at_random_points():
         slack = 0.0 if rep.method == "analytic" else 1e-9
         assert np.all(r1 >= rep.lower - slack - 1e-9)
         assert np.all(r1 <= rep.upper + slack + 1e-9)
+
+
+def test_second_index_when_every_sample_overflows():
+    # t^-1e6 and t^1e6 under- or overflow at every grid node, so no ratio is
+    # sampled; min a(a - 1) over the terms still bounds the weighted mean
+    rep = nl.compute_indices(nl.power_sum([(1, -1e6), (1, 0.5), (1, 1e6)]))
+    assert (rep.lower, rep.upper, rep.second) == (-1e6, 1e6, -0.25)
 
 
 def test_indices_sign_changing_lichnerowicz():
@@ -145,51 +191,6 @@ def test_indices_declared_positive_but_vanishing():
     bad = nl.NonlinearitySpec(nl.Lichnerowicz(1, 1, 3, 0, 0.5), positive=True)
     with pytest.raises(SignChange):
         nl.compute_indices(bad)
-
-
-def test_indices_custom_sampled_tag():
-    spec = nl.custom(lambda t: t**2, lambda t: 2 * t, lambda t: 2.0, positive=True)
-    rep = nl.compute_indices(spec)
-    assert rep.method == "sampled"
-    assert rep.lower == pytest.approx(2.0, abs=1e-9)
-    assert rep.upper == pytest.approx(2.0, abs=1e-9)
-
-
-def test_indices_divergence_detection():
-    from ellab.errors import Divergence
-    # r2 ~ -t^2 sin(t)/(2+sin(t)) is unbounded below
-    spec = nl.custom(lambda t: t * (2 + math.sin(t)),
-                     lambda t: 2 + math.sin(t) + t * math.cos(t),
-                     lambda t: 2 * math.cos(t) - t * math.sin(t),
-                     positive=True)
-    with pytest.raises(Divergence):
-        nl.compute_indices(spec, require_finite=True)
-    rep = nl.compute_indices(spec)
-    assert not rep.second_finite
-    # a bounded oscillation stays finite: r2 = (cos - sin)(ln t)/(2 + sin(ln t))
-    tame = nl.custom(lambda t: t * (2 + math.sin(math.log(t))),
-                     lambda t: 2 + math.sin(math.log(t)) + math.cos(math.log(t)),
-                     lambda t: (math.cos(math.log(t)) - math.sin(math.log(t))) / t,
-                     positive=True)
-    rep2 = nl.compute_indices(tame)
-    assert rep2.second_finite and rep2.lower_finite and rep2.upper_finite
-
-
-def test_custom_handle_failure():
-    from ellab.errors import EvaluationFailure
-    bad = nl.custom(lambda t: 1 / 0, lambda t: 0.0, lambda t: 0.0, positive=True)
-    with pytest.raises(EvaluationFailure):
-        nl.evaluate_many(bad, np.array([1.0]))
-
-
-def test_custom_evaluates_lanes_of_any_shape():
-    spec = nl.custom(lambda t: t**2 + t**3, lambda t: 2 * t + 3 * t**2,
-                     lambda t: 2 + 6 * t, positive=True)
-    lanes = np.geomspace(1e-2, 1e2, 12).reshape(3, 4)
-    flat = nl.evaluate_many(spec, lanes.ravel())
-    for got, want in zip(nl.evaluate_many(spec, lanes), flat):
-        assert got.shape == (3, 4)
-        assert np.array_equal(got, want.reshape(3, 4))
 
 
 def test_critical_exponents_rho_needs_dimension_above_one():
@@ -300,17 +301,7 @@ def test_ratio_mask_drops_nodes_next_to_a_root():
     t = np.array([0.5, np.nextafter(1.0, 2.0), 2.0])
     f, df, _ = nl.evaluate_many(spec, t)
     assert f[1] != 0
-    assert nl.ratio_mask(spec, t, f, df).tolist() == [True, False, True]
-
-
-def as_custom(spec):
-    """The same f as a black-box term, so the helpers take their grid paths."""
-    @functools.lru_cache(maxsize=None)
-    def at(t):
-        return [v[0] for v in nl.evaluate_many(spec, np.array([t]))]
-
-    return nl.custom(lambda t: at(t)[0], lambda t: at(t)[1], lambda t: at(t)[2],
-                     positive=spec.positive)
+    assert nl.ratio_mask(spec, t, f).tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("spec", [
@@ -325,16 +316,15 @@ def as_custom(spec):
 ])
 def test_termwise_hypotheses_match_grid_fallbacks(spec):
     # away from threshold cases (p0 = 0, alpha equal to an exponent) the
-    # monomial-sum answers and the sampled ones must agree
-    black_box = as_custom(spec)
+    # monomial-sum answers and the dense-grid ones must agree
     for alpha in (1.5, 2.5, 4.0):
         assert (nl.power_ratio_nonincreasing(spec, alpha)
-                == nl.power_ratio_nonincreasing(black_box, alpha))
-    assert nl.vanishing_slope_at_zero(spec) == nl.vanishing_slope_at_zero(black_box)
+                == sampled_power_ratio_nonincreasing(spec, alpha))
+    assert nl.vanishing_slope_at_zero(spec) == sampled_vanishing_slope_at_zero(spec)
     for beta in (0.25, 0.75, 2.0):
         assert (nl.inverse_bounded(spec, beta)[0]
-                == nl.inverse_bounded(black_box, beta)[0])
-    assert nl.ratio_nondecreasing(spec) == nl.ratio_nondecreasing(black_box)
+                == sampled_inverse_increasing(spec, beta))
+    assert nl.ratio_nondecreasing(spec) == sampled_ratio_nondecreasing(spec)
 
 
 def test_ratio_nondecreasing_check():
@@ -342,11 +332,20 @@ def test_ratio_nondecreasing_check():
     # t^40 overflows on the sampling grid, but t f'/f = 40 is constant
     assert nl.ratio_nondecreasing(nl.power(40.0))
     assert nl.ratio_nondecreasing(nl.power_sum([(1, 2), (1, 3)]))
-    # t^2 e^-t has ratio 2 - t, strictly decreasing
-    assert not nl.ratio_nondecreasing(nl.custom(
-        lambda t: t**2 * math.exp(-t),
-        lambda t: (2 * t - t**2) * math.exp(-t),
-        lambda t: (2 - 4 * t + t**2) * math.exp(-t), positive=True))
+    assert nl.ratio_nondecreasing(nl.lichnerowicz(0, 1, 3, 0, 0.5))  # -t^3
+    # mixed signs: t f'/f is unbounded both ways around the root of f
+    assert not nl.ratio_nondecreasing(nl.lichnerowicz(1, 1, 3, 0, 0.5))
+    # f = no terms: there is no ratio
+    assert not nl.ratio_nondecreasing(nl.lichnerowicz(0, 0, 3, 0, 0.5))
+
+
+def test_ratio_nondecreasing_false_for_a_root_beyond_the_grid():
+    # f = 2t - t^1.0015 + t^0.75 has its root beyond t = 1e200, so on
+    # [1e-8, 1e8] t f'/f decreases by less than a grid test's slack
+    spec = nl.lichnerowicz(2, 1, 1.0015, 1, 0.75)
+    assert sampled_ratio_nondecreasing(spec)
+    assert not nl.ratio_nondecreasing(spec)
+    assert nl.compute_indices(spec).upper == math.inf
 
 
 def test_theorem_18_hypotheses_for_lane_emden():
@@ -368,3 +367,14 @@ def test_json_round_trip():
                  nl.lichnerowicz(1, 1, 3, 0, 0.5)):
         again = nl.from_json(nl.to_json(spec))
         assert again == spec
+
+
+def test_every_family_round_trips_through_json():
+    # a family that `from_json` cannot build is one the CLI cannot receive
+    examples = {nl.PowerLaw: nl.power(2.5),
+                nl.PowerSum: nl.power_sum([(1, 0.5), (2, 2.5)]),
+                nl.Lichnerowicz: nl.lichnerowicz(1, 0, 3, 2, 0.5)}
+    assert set(examples) == set(typing.get_args(nl.Family))
+    for family, spec in examples.items():
+        assert type(spec.family) is family
+        assert nl.from_json(nl.to_json(spec)) == spec

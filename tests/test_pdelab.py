@@ -32,14 +32,16 @@ def constant_profile(spec, value, m=256):
     u = np.full(m + 1, float(value))
     z = np.zeros(m + 1)
     f, _, _ = nl.evaluate_many(spec, np.array([value]))
-    return pde.SolutionProfile(grid, u, z, z, FLAT4, spec, float(value),
+    return pde.SolutionProfile(grid, u, z, FLAT4, spec, float(value),
                                float(abs(f[0])), {"constant": True, "R": 1.0})
 
 
 # --- solver -----------------------------------------------------------------
 
 def test_zero_reaction_constant_solution():
-    prof = pde.solve_radial_bvp(FLAT4, nl.zero(), 1.0, 1.0, pde.SolverConfig(m=128))
+    # a Lichnerowicz reaction with a = b = c = 0 has no terms: f == 0
+    zero = nl.lichnerowicz(0, 0, 3, 0, 0.5)
+    prof = pde.solve_radial_bvp(FLAT4, zero, 1.0, 1.0, pde.SolverConfig(m=128))
     assert np.max(np.abs(prof.u - 1.0)) == 0.0
 
 
