@@ -472,19 +472,3 @@ def from_json(obj: dict) -> WeightedSpace:
         return table_weight_space(n, N, w["r"], w["values"])
     raise ValueError(f"unknown weight kind {kind!r}")
 
-
-def to_json(space: WeightedSpace) -> dict:
-    if space.weight_kind == "zero":
-        return {"n": space.n, "N": space.N, "weight": {"kind": "zero"}}
-    if space.weight_kind == "appendix":
-        gamma, mu = space.weight_params
-        # gamma determines alpha through the decay relation
-        alpha = 1.0 + 4.0 / (space.n - 2.0 - 2.0 * gamma)
-        return {"n": space.n, "N": space.N,
-                "weight": {"kind": "appendix", "alpha": alpha, "mu": mu}}
-    if space.weight_kind == "table":
-        r_nodes, vals = space.weight_params
-        return {"n": space.n, "N": space.N,
-                "weight": {"kind": "custom-radial", "phi": "table",
-                           "r": list(r_nodes), "values": list(vals)}}
-    raise ValueError("this space has no JSON form")

@@ -19,8 +19,8 @@ workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -325,7 +325,6 @@ class ConditionReport:
     satisfied: bool
     checks: dict
     method: str
-    h_witness: Optional[Callable[[float], float]] = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
         return {"theorem": self.theorem, "satisfied": self.satisfied,
@@ -366,19 +365,12 @@ def vanishing_slope_at_zero(spec: NonlinearitySpec) -> bool:
     return all(a > 1 for _k, a in spec.family.terms)  # the smallest exponent
 
 
-def inverse_bounded(spec: NonlinearitySpec, beta: float):
-    """Whether g(t) = t^(-1-beta) f(t) is increasing with a quantified inverse.
-
-    Returns (ok, h) where h maps a ratio bound C to the factor in t <= h(C) eps.
-    Exact for monomial sums with positive coefficients.
-    """
+def inverse_bounded(spec: NonlinearitySpec, beta: float) -> bool:
+    """Whether g(t) = t^(-1-beta) f(t) is increasing with a quantified inverse:
+    no coefficient negative and every exponent above 1 + beta."""
     terms = spec.family.terms
-    if not terms or any(k < 0 for k, _a in terms):
-        return False, None
-    p0 = min(a for _k, a in terms) - 1 - beta
-    if p0 <= 0:
-        return False, None
-    return True, (lambda C, p0=p0: max(1.0, C ** (1.0 / p0)))
+    return (bool(terms) and all(k >= 0 for k, _a in terms)
+            and min(a for _k, a in terms) - 1 - beta > 0)
 
 
 def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
@@ -391,7 +383,6 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
     p = p_threshold(N)
     ps = p_sobolev(N)
     checks: dict = {}
-    h_witness = None
 
     if t == "8":
         ok = isinstance(spec.family, Lichnerowicz)
@@ -432,10 +423,9 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
         checks["inverse_bounded"] = False
     else:
         r = rho(N, idx.upper) if idx.upper_finite else math.inf
-        ok, h_witness = inverse_bounded(spec, beta)
-        checks["inverse_bounded"] = ok and beta > r
+        checks["inverse_bounded"] = inverse_bounded(spec, beta) and beta > r
     sat = all(checks.values())
-    return ConditionReport(t, sat, checks, idx.method, h_witness)
+    return ConditionReport(t, sat, checks, idx.method)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ BLOWUP_FACTOR = 1e8    # max(u) / boundary value that counts as blow-up
 # peaks below the boundary sweep's lowest rung 0.1
 BRANCH_CENTRES = 0.1 * np.geomspace(2.0**-40, 2.0**40, 1023)
 BRANCH_GRID = 128      # intervals of the coarse march over those centres
-REFINE_CENTRES = 65    # centres between two of those that refine the maximum
+REFINE_CENTRES = 65    # centres between two of those that refine a bracket
 EPS_REL_TOL = 1e-12    # relative width at which choose_epsilon stops bisecting
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -308,28 +308,33 @@ def solve_radial_lanes(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
 
 def _no_solution(error, space, spec, R, m, bv, message):
     """A failed lane's `error`, naming the branch maximum when bv lies
-    above it; only failing solves pay for the march."""
-    top = _branch_maximum(space, spec, R, m)
+    above it; only failing solves pay for the march.  The coarse branch
+    brackets the top between the neighbours of its best centre (the grid
+    moves the top's centre by O(h^2) only)."""
+    i = int(np.argmax(branch(space, spec, R)))
+    top = float(np.max(refine(space, spec, R, m, i - 1, i + 1)))
     if bv > top:
         message = (f"no solution: boundary value {bv:.6g} exceeds the branch "
                    f"maximum {top:.6g} ({message})")
     return error(message)
 
 
-def _branch_maximum(space, spec, R, m) -> float:
-    """Largest boundary value of the discrete equations on an m-interval grid.
+def branch(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
+           R: float) -> np.ndarray:
+    """Boundary value of each of BRANCH_CENTRES on a BRANCH_GRID grid, 0
+    where the centre has no positive solution: the one coarse map of the
+    solution branch."""
+    return march_boundary_values(space, spec, R, BRANCH_GRID, BRANCH_CENTRES)
 
-    The coarse march over BRANCH_CENTRES brackets the top between the
-    neighbours of its best centre (the grid moves the top's centre by
-    O(h^2) only), and a march over REFINE_CENTRES inside that bracket on
-    the m-interval grid gives the maximum.
-    """
-    reach = march_boundary_values(space, spec, R, BRANCH_GRID, BRANCH_CENTRES)
-    i = int(np.argmax(reach))
-    lo, hi = BRANCH_CENTRES[max(i - 1, 0):i + 2][[0, -1]]
-    fine = march_boundary_values(space, spec, R, m,
-                                 np.geomspace(lo, hi, REFINE_CENTRES))
-    return float(np.max(fine))
+
+def refine(space: ms.WeightedSpace, spec: nl.NonlinearitySpec, R: float,
+           m: int, lo: int, hi: int) -> np.ndarray:
+    """Boundary values on an m-interval grid of REFINE_CENTRES centres
+    log-spaced from BRANCH_CENTRES[lo] to BRANCH_CENTRES[hi], both indices
+    clipped to the centre set."""
+    a, b = BRANCH_CENTRES[np.clip([lo, hi], 0, BRANCH_CENTRES.size - 1)]
+    return march_boundary_values(space, spec, R, m,
+                                 np.geomspace(a, b, REFINE_CENTRES))
 
 
 def march_boundary_values(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,

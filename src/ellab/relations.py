@@ -29,6 +29,7 @@ from .errors import HypothesisViolation
 INTERP_TOL = 1e-8     # relative slack of the gradient -> Harnack arrow
 RUNG_BASE = 0.1       # boundary values of the sweep's top are RUNG_BASE * 2^k,
 RUNGS = 40            # k < RUNGS
+SWEEP_COUNT = 20      # boundary values, so profiles, per sweep
 
 
 def harnack_constant(C_L: float, K: float, R: float) -> float:
@@ -154,32 +155,38 @@ def implication_suite(corpus: list[pde.SolutionProfile], N: float,
 
 
 def boundary_sweep(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
-                   R: float, m: int, lo: float, count: int = 20):
-    """Boundary values log-spaced below the top of the solution branch, with
-    their Newton profiles on an m-interval grid.
+                   R: float, m: int, lo: float):
+    """SWEEP_COUNT boundary values log-spaced from `lo` to 0.9 times the
+    largest rung RUNG_BASE * 2^k (k < RUNGS) below the top of the coarse
+    branch, with their Newton profiles on an m-interval grid, solved in one
+    lane solve.
 
-    One coarse march from the centre (`pdelab.march_boundary_values` over
-    `pdelab.BRANCH_CENTRES` on a `pdelab.BRANCH_GRID` grid) samples the
-    branch.  The values run from `lo`,
-    which must not lie below the smallest boundary value of that march, to
-    0.9 times the largest rung RUNG_BASE * 2^k (k < RUNGS) below its top.
-    All values are solved in one lane solve; a solver error on a corpus
-    value propagates.
+    `lo` must lie below that end and not below the smallest boundary value
+    of the branch, refined on the m-interval grid between the first live
+    centre and the dead one below it.
     """
-    reach = pde.march_boundary_values(space, spec, R, pde.BRANCH_GRID,
-                                      pde.BRANCH_CENTRES)
+    reach = pde.branch(space, spec, R)
     top = float(np.max(reach))
     if top < RUNG_BASE:
         raise HypothesisViolation(f"the solution branch peaks at boundary value "
                                   f"{top:.6g}, below {RUNG_BASE:g}")
-    bottom = float(np.min(reach[reach > 0]))
+    end = 0.9 * max(RUNG_BASE * 2.0**k for k in range(RUNGS)
+                    if RUNG_BASE * 2.0**k <= top)
+    if lo >= end:
+        raise HypothesisViolation(f"the sweep starts at {lo:g}, at or above its "
+                                  f"end {end:.6g} (0.9 times the rung below "
+                                  f"the branch top {top:.6g})")
+    alive = reach > 0
+    live, first = reach[alive], int(np.argmax(alive))
+    if first:  # a dead centre lies below the first live one
+        fine = pde.refine(space, spec, R, m, first - 1, first)
+        live = np.append(live, fine[fine > 0])
+    bottom = float(np.min(live))
     if lo < bottom:
         raise HypothesisViolation(f"the sweep starts at {lo:g}, below "
                                   f"{bottom:.6g}, the smallest boundary value "
-                                  f"of the centre march")
-    rung = max(RUNG_BASE * 2.0**k for k in range(RUNGS)
-               if RUNG_BASE * 2.0**k <= top)
-    values = np.geomspace(lo, 0.9 * rung, count)
+                                  f"of the solution branch")
+    values = np.geomspace(lo, end, SWEEP_COUNT)
     profiles = pde.solve_radial_lanes(space, spec, R, values,
                                       pde.SolverConfig(m=m))
     return values, profiles

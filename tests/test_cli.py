@@ -151,6 +151,20 @@ def test_solve_above_the_branch_names_its_maximum(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_implications_below_the_coarse_branch_bottom_reaches_newton(tmp_path,
+                                                                    capsys):
+    # f = t + 2 sqrt(t): the coarse march bottoms out at 0.0031, but the
+    # refined branch reaches below 1e-3, so the sweep passes its lower check
+    # and the Newton solve from a constant start fails by name
+    out = tmp_path / "impl.json"
+    assert run(["implications", "--f", "lich:1,0,3,2,0.5", "--space", "flat:4",
+                "--R", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no positive iterate with residual decrease" in err
+    assert "below 0.0031" not in err
+    assert not out.exists()
+
+
 def test_solve_names_an_overflowing_residual(tmp_path, capsys):
     # f = t^2 overflows at 1e160, and with it the residual's tolerance
     out = tmp_path / "prof.csv"
@@ -517,9 +531,16 @@ def test_suite_exit_code(tmp_path, monkeypatch, capsys):
      ["indices", "--f", "lich:1,0,3,2,0.5", "--N", "4"]),
     ("indices_N4_allen_cahn.json",
      ["indices", "--f", "lich:1,1,3,0,0.5", "--N", "4"]),
+    ("implications_flat4_power2.json",
+     ["implications", "--f", "power:2", "--space", "flat:4", "--R", "1",
+      "--grid", "512"]),
 ])
 def test_golden_certificates(tmp_path, name, argv):
     out = tmp_path / name
     assert run(argv + ["--out", str(out)]) == 0
     expected = (GOLDEN / name).read_text()
     assert out.read_text() == expected
+    # a command that writes a CSV beside its report has a golden CSV too
+    csv = out.with_suffix(".csv")
+    if csv.exists():
+        assert csv.read_text() == (GOLDEN / csv.name).read_text()

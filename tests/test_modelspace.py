@@ -278,17 +278,24 @@ def test_sharpness_doubling_K():
 # --- JSON ------------------------------------------------------------------
 
 def test_space_json_round_trip():
-    sp = ms.flat(4)
-    again = ms.from_json(ms.to_json(sp))
-    assert again.n == 4 and again.weight_kind == "zero"
+    again = ms.from_json({"n": 4, "N": 4.0, "weight": {"kind": "zero"}})
+    assert again.n == 4 and again.N == 4.0 and again.weight_kind == "zero"
+    assert ms.from_json({"n": 3}).weight_kind == "zero"
 
     asp = ms.appendix_space(5.0, 2.0, 1.0)
-    obj = ms.to_json(asp.space)
-    assert obj["weight"]["kind"] == "appendix"
-    assert obj["weight"]["alpha"] == pytest.approx(2.0)
-    again = ms.from_json(obj)
+    again = ms.from_json({"n": 4, "N": 5.0,
+                          "weight": {"kind": "appendix", "alpha": 2.0,
+                                     "mu": asp.mu}})
     r = np.linspace(0, 5, 50)
     assert np.allclose(again.phi(r), asp.space.phi(r))
+
+    nodes = np.linspace(0, 20, 4001)
+    again = ms.from_json({"n": 4, "N": 5.0,
+                          "weight": {"kind": "custom-radial", "phi": "table",
+                                     "r": nodes.tolist(),
+                                     "values": asp.space.phi(nodes).tolist()}})
+    assert again.weight_kind == "table"
+    assert np.allclose(again.phi(r), asp.space.phi(r), atol=1e-8)
 
 
 def test_table_weight_space():

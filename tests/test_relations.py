@@ -21,8 +21,8 @@ def allen_cahn_equilibrium():
     return spec, pde.solve_radial_bvp(FLAT4, spec, 1.0, 1.0, pde.SolverConfig(m=256))
 
 
-def small_corpus(count=6, m=512):
-    _, corpus = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, m, 1e-2, count=count)
+def small_corpus(m=512):
+    _, corpus = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, m, 1e-2)
     return corpus
 
 
@@ -95,17 +95,17 @@ def test_suite_hypothesis_gate():
 
 def test_suite_report_serializes():
     from ellab import reporting
-    rep = rel.implication_suite(small_corpus(count=3), 4.0, LANE_EMDEN, 0.0, 1.0)
+    rep = rel.implication_suite(small_corpus(), 4.0, LANE_EMDEN, 0.0, 1.0)
     text = reporting.dumps(rep.as_dict())
     assert '"gradient_to_harnack"' in text
     header, cols = rep.csv_matrix()
     assert len(header) == len(cols)
-    assert len(cols[0]) == 3
+    assert len(cols[0]) == rel.SWEEP_COUNT
 
 
 def test_boundary_sweep_is_deterministic():
-    vals1, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 256, 1e-3, count=5)
-    vals2, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 256, 1e-3, count=5)
+    vals1, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 256, 1e-3)
+    vals2, _ = rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 256, 1e-3)
     assert np.array_equal(vals1, vals2)
 
 
@@ -138,11 +138,42 @@ def test_boundary_sweep_names_the_branch_maximum():
 
 
 def test_boundary_sweep_names_the_march_minimum():
-    # f = t + 2 sqrt(t): marched lanes live only from u(0) of about 1.15 up,
-    # and none reaches a boundary value below about 0.0031
+    # f = t + 2 sqrt(t): the coarse march lives only from u(0) of about 1.15
+    # up, with boundary values from 0.0031; refined on the 512 grid between
+    # that centre and the dead one below, the branch reaches 1.885e-4
     spec = nl.lichnerowicz(1, 0, 3, 2, 0.5)
-    with pytest.raises(HypothesisViolation, match=r"starts at 0\.001, below 0\.0031"):
-        rel.boundary_sweep(FLAT4, spec, 1.0, 512, 1e-3)
+    with pytest.raises(HypothesisViolation,
+                       match=r"starts at 1e-05, below 0\.000188547, the smallest"):
+        rel.boundary_sweep(FLAT4, spec, 1.0, 512, 1e-5)
+
+
+@pytest.mark.parametrize("lo", [0.9 * 0.8, 0.75, 0.85])
+def test_boundary_sweep_rejects_a_start_at_or_above_its_end(monkeypatch, lo):
+    # on flat:4 at R = 1 the sweep ends at 0.9 * 0.8 = 0.72, below the top
+    def solve(*args, **kwargs):
+        raise AssertionError("no Newton solve before the range check")
+
+    monkeypatch.setattr(pde, "solve_radial_lanes", solve)
+    with pytest.raises(HypothesisViolation,
+                       match=rf"starts at {lo:g}, at or above its end 0\.72 .*"
+                             r"branch top 0\.8585"):
+        rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 512, lo)
+
+
+@pytest.mark.parametrize("space", [ms.flat(3), FLAT4,
+                                   ms.appendix_space(5.0, 2.0, 1.0).space])
+def test_boundary_sweep_marches_once_when_the_first_centre_lives(monkeypatch,
+                                                                  space):
+    calls = []
+    march = pde.march_boundary_values
+
+    def counted(*args):
+        calls.append(args[3])
+        return march(*args)
+
+    monkeypatch.setattr(pde, "march_boundary_values", counted)
+    rel.boundary_sweep(space, LANE_EMDEN, 1.0, 1024, 1e-3)
+    assert calls == [pde.BRANCH_GRID]
 
 
 @pytest.mark.parametrize("space,spec", [
