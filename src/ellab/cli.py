@@ -6,10 +6,12 @@ certification), `solve` (radial profiles to CSV), `verify` (estimate checks),
 `appendix` (the exact-family verification bundle), `implications` (corpus
 arrow checks), and `suite` (the acceptance battery).
 
-Reports are canonical JSON (sorted keys, 17 significant digits) embedding a
-content hash of the run configuration, so identical configurations produce
-byte-identical files.  Exit codes: 0 success, 1 a verification failed,
-2 usage or configuration error, an out-of-range numeric flag included.
+Each command accepts only the flags it reads, as its entry in `COMMANDS`
+states.  Reports are canonical JSON (sorted keys, 17 significant digits)
+embedding a content hash of the flags the command read, so identical
+configurations produce byte-identical files.  Exit codes: 0 success, 1 a
+verification failed, 2 usage or configuration error, an out-of-range numeric
+flag, a flag the command does not read and a missing needed flag included.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .errors import ConfigError, InvalidAlpha, LabError
 # acceptance, pdelab and relations are imported inside the commands that use
 # them, so `indices` and `certify` load neither the solver nor the battery.
 
-DEFAULT_GRID = 1024
-DEFAULT_TOL = 1e-11
+# defaults of the flags that have one, filled in for the commands that read
+# them after the --config merge, so a config file can set them
+DEFAULTS = {"grid": 1024, "tol": 1e-11}
 
 # lower limits of the numeric flags: (flag, limit, whether the limit is allowed)
 FLAG_RANGES = (("R", 0.0, False), ("bv", 0.0, False), ("grid", 3, True),
@@ -103,20 +106,21 @@ def _dimension(args, space: ms.WeightedSpace) -> float:
 
 def _certificate(args, spec: nl.NonlinearitySpec, N: float) -> ct.Certificate:
     """The --theorem certificate, synthesized and checked against --f."""
+    theorem = nl.normalize_theorem(args.theorem)
+    for flag, value, readers in (("--alpha", args.alpha, ("1.5", "1.9")),
+                                 ("--delta", args.delta, ("8",))):
+        if value is not None and theorem not in readers:
+            raise ConfigError(f"theorem {theorem} does not read {flag}")
     idx = nl.compute_indices(spec)
     # 1.9 builds its certificate for power(--alpha) but checks it against --f,
     # so a pure power of another exponent contradicts --alpha
-    if (nl.normalize_theorem(args.theorem) == "1.9" and args.alpha is not None
+    if (theorem == "1.9" and args.alpha is not None
             and idx.lower == idx.upper != args.alpha):
         raise ConfigError(f"--alpha {args.alpha:g} contradicts the power "
                           f"{idx.upper:g} of --f for theorem 1.9")
     cert = ct.synthesize(N, idx, args.theorem, spec=spec,
                          alpha=args.alpha, delta=args.delta)
     return ct.certify(cert, spec, N)
-
-
-def _config_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 # --- subcommands -------------------------------------------------------------
@@ -138,8 +142,7 @@ def cmd_indices(args) -> int:
             hyp["1.5"] = nl.check_hypotheses(spec, N, "1.5", alpha=args.alpha,
                                              indices=idx).as_dict()
         report["hypotheses"] = hyp
-    cfg = _config_dict(args, ("f", "N", "alpha", "seed"))
-    report["config_hash"] = reporting.config_hash(cfg)
+    report["config_hash"] = args.config_hash
     path = _write_report(report, args.out, "indices.json")
     print(f"wrote {path}")
     return 0
@@ -147,15 +150,10 @@ def cmd_indices(args) -> int:
 
 def cmd_certify(args) -> int:
     spec = parse_nonlinearity(args.f)
-    if args.N is None:
-        raise ConfigError("certify needs --N")
-    if args.theorem is None:
-        raise ConfigError("certify needs --theorem")
     cert = _certificate(args, spec, args.N)
     report = cert.as_dict()
     report["nonlinearity"] = nl.to_json(spec)
-    cfg = _config_dict(args, ("f", "N", "theorem", "alpha", "delta", "seed"))
-    report["config_hash"] = reporting.config_hash(cfg)
+    report["config_hash"] = args.config_hash
     path = _write_report(report, args.out, f"certificate_{cert.theorem}.json")
     print(f"wrote {path} (status: {cert.status}, "
           f"worst margin {cert.verification['worst_margin']:.3e})")
@@ -167,8 +165,6 @@ def cmd_solve(args) -> int:
 
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
-    if args.R is None or args.bv is None:
-        raise ConfigError("solve needs --R and --bv")
     cfg = pde.SolverConfig(m=args.grid, tol=args.tol)
     prof = pde.solve_radial_bvp(space, spec, args.R, args.bv, cfg)
     header, cols = pde.profile_table(prof)
@@ -192,8 +188,6 @@ def cmd_verify(args) -> int:
 
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
-    if args.R is None or args.theorem is None:
-        raise ConfigError("verify needs --R and --theorem")
     N = _dimension(args, space)
     cert = _certificate(args, spec, N)
     K = args.K if args.K is not None else ms.curvature_bound(space, 2 * args.R).K
@@ -204,9 +198,7 @@ def cmd_verify(args) -> int:
     rep = pde.check_estimate(prof, cert, K, args.R, kind)
     report = rep.as_dict()
     report["certificate"] = cert.as_dict()
-    cfg = _config_dict(args, ("f", "space", "N", "K", "R", "theorem", "alpha",
-                              "bv", "grid", "tol", "seed"))
-    report["config_hash"] = reporting.config_hash(cfg)
+    report["config_hash"] = args.config_hash
     path = _write_report(report, args.out, "estimate.json")
     print(f"wrote {path} (kind {rep.kind}: measured {rep.measured:.6g} "
           f"vs bound {rep.bound:.6g} -> {'pass' if rep.passed else 'FAIL'})")
@@ -214,8 +206,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_appendix(args) -> int:
-    if args.N is None or args.alpha is None or args.K is None:
-        raise ConfigError("appendix needs --N, --alpha and --K")
     try:
         asp = ms.appendix_space(args.N, args.alpha, args.K)
     except (ValueError, InvalidAlpha) as exc:
@@ -240,8 +230,7 @@ def cmd_appendix(args) -> int:
         "sharpness_argmax_r": argmax,
         "checks": checks,
     }
-    cfg = _config_dict(args, ("N", "alpha", "K", "seed"))
-    report["config_hash"] = reporting.config_hash(cfg)
+    report["config_hash"] = args.config_hash
     path = _write_report(report, args.out, "appendix.json")
     ok = all(checks.values())
     print(f"wrote {path} (mu {asp.mu:.12g}, residual {rel_res:.3e}, "
@@ -261,8 +250,7 @@ def cmd_implications(args) -> int:
     _, corpus = rel.boundary_sweep(space, spec, R, args.grid, lo)
     rep = rel.implication_suite(corpus, N, spec, K, R)
     report = rep.as_dict()
-    cfg = _config_dict(args, ("f", "space", "N", "K", "R", "bv", "grid", "seed"))
-    report["config_hash"] = reporting.config_hash(cfg)
+    report["config_hash"] = args.config_hash
     path = _write_report(report, args.out, "implications.json")
     header, cols = rep.csv_matrix()
     csv_path = path.with_suffix(".csv")
@@ -292,15 +280,24 @@ def cmd_suite(args) -> int:
     return 0 if good == total else 1
 
 
+# name: (function, flags it reads, flags it needs), flags by their argparse
+# dest.  Every command also takes --out, and --config sets only flags it reads.
 COMMANDS = {
-    "indices": cmd_indices,
-    "certify": cmd_certify,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "appendix": cmd_appendix,
-    "implications": cmd_implications,
-    "suite": cmd_suite,
+    "indices": (cmd_indices, ("f", "N", "alpha"), ("f",)),
+    "certify": (cmd_certify, ("f", "N", "theorem", "alpha", "delta"),
+                ("f", "N", "theorem")),
+    "solve": (cmd_solve, ("f", "space", "R", "bv", "grid", "tol",
+                          "emit_plot_data"), ("f", "space", "R", "bv")),
+    "verify": (cmd_verify, ("f", "space", "N", "K", "R", "theorem", "alpha",
+                            "delta", "bv", "grid", "tol"),
+               ("f", "space", "R", "theorem")),
+    "appendix": (cmd_appendix, ("N", "alpha", "K", "seed"), ("N", "alpha", "K")),
+    "implications": (cmd_implications, ("f", "space", "N", "K", "R", "bv",
+                                        "grid"), ("f", "space")),
+    "suite": (cmd_suite, (), ()),
 }
+# the arguments every command takes
+COMMON = ("command", "out", "config")
 
 
 @functools.cache
@@ -324,14 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, help="quadratic-loss parameter")
     parser.add_argument("--bv", type=float, help="boundary value")
     parser.add_argument("--grid", type=int,
-                        help=f"grid intervals (default {DEFAULT_GRID})")
+                        help=f"grid intervals (default {DEFAULTS['grid']})")
     parser.add_argument("--tol", type=float,
-                        help=f"solver tolerance (default {DEFAULT_TOL:g})")
+                        help=f"solver tolerance (default {DEFAULTS['tol']:g})")
     parser.add_argument("--out", help="output path")
     parser.add_argument("--emit-plot-data", action="store_true",
                         help="also write (r, diagnostic) tables")
     parser.add_argument("--seed", type=int, help="seed for sampled checks")
-    parser.add_argument("--config", help="JSON file with the same keys as the flags")
+    parser.add_argument("--config", help="JSON file whose keys are flags the "
+                                         "command reads")
     return parser
 
 
@@ -345,10 +343,11 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
         raise ConfigError("the file must hold a JSON object")
     flag_type = {a.dest: bool if a.const is True else a.type or str
                  for a in parser._actions}
+    reads = COMMANDS[args.command][1]
     for key, value in loaded.items():
         key = key.replace("-", "_")
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown key {key!r}")
+        if key not in reads and key != "out":
+            raise ConfigError(f"{args.command} does not read config key {key!r}")
         kind = flag_type[key]
         # a JSON integer is a valid float (converted, as argparse would);
         # bool is an int subclass, so it passes only for a bool flag
@@ -362,19 +361,38 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
             setattr(args, key, kind(value))
 
 
-def _check_ranges(args) -> None:
-    """Reject a non-finite or out-of-range numeric flag before any command
-    runs."""
-    for action in build_parser()._actions:
-        value = getattr(args, action.dest) if action.type is float else None
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{action.dest} must be finite, got {value!r}")
+def _checked_config(parser: argparse.ArgumentParser, args) -> dict:
+    """Check the flags against the command's entry in `COMMANDS` before it
+    runs, fill the defaults of the flags it reads, and return those that are
+    set: the input of its config hash."""
+    _, reads, needs = COMMANDS[args.command]
+    config = {}
+    for action in parser._actions:
+        key = action.dest
+        if key in COMMON:
+            continue
+        value = getattr(args, key, None)
+        if value is None and key in reads:
+            value = DEFAULTS.get(key)
+            setattr(args, key, value)
+        if value is None or value is False:
+            continue
+        flag = action.option_strings[0]
+        if key not in reads:
+            raise ConfigError(f"{args.command} does not read {flag}")
+        if action.type is float and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
+        config[key] = value
     for key, low, closed in FLAG_RANGES:
-        value = getattr(args, key)
+        value = config.get(key)
         # written as `not in range` so that NaN is rejected too
         if value is not None and not (value >= low if closed else value > low):
             raise ConfigError(f"--{key} must be {'>=' if closed else '>'} "
                               f"{low:g}, got {value!r}")
+    missing = [f"--{key}" for key in needs if key not in config]
+    if missing:
+        raise ConfigError(f"{args.command} needs {', '.join(missing)}")
+    return config
 
 
 def main(argv=None) -> int:
@@ -383,13 +401,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             _merge_config(parser, args)
-        # defaults resolve after the merge so a config file can set them
-        if args.grid is None:
-            args.grid = DEFAULT_GRID
-        if args.tol is None:
-            args.tol = DEFAULT_TOL
-        _check_ranges(args)
-        return COMMANDS[args.command](args)
+        args.config_hash = reporting.config_hash(_checked_config(parser, args))
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -454,11 +454,22 @@ def sharpness_quantity(aspace: AppendixSpace):
 # JSON interface
 
 
+# the keys of each weight kind's JSON object besides "kind"
+WEIGHT_KEYS = {"zero": (), "appendix": ("alpha", "mu"),
+               "custom-radial": ("r", "values")}
+
+
 def from_json(obj: dict) -> WeightedSpace:
+    unknown = sorted(set(obj) - {"n", "N", "weight"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for a space")
     n = int(obj["n"])
     N = float(obj.get("N", n))
     w = obj.get("weight", {"kind": "zero"})
     kind = w.get("kind", "zero")
+    unknown = sorted(set(w) - {"kind", *WEIGHT_KEYS.get(kind, ())})
+    if kind in WEIGHT_KEYS and unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for weight kind {kind!r}")
     if kind == "zero":
         return flat(n, N)
     if kind == "appendix":

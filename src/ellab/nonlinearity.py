@@ -432,8 +432,16 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
 # JSON interface
 
 
+# the keys of each family's JSON object besides "family"
+JSON_KEYS = {"power": ("alpha",), "powersum": ("terms",),
+             "lichnerowicz": ("a", "b", "sigma", "c", "tau")}
+
+
 def from_json(obj: dict) -> NonlinearitySpec:
     fam = obj.get("family")
+    unknown = sorted(set(obj) - {"family", *JSON_KEYS.get(fam, ())})
+    if fam in JSON_KEYS and unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for family {fam!r}")
     if fam == "power":
         return power(float(obj["alpha"]))
     if fam == "powersum":

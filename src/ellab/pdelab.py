@@ -564,14 +564,8 @@ class DefectReport:
     argmin_r: float
     scale: float
     h: float
-    restricted_to: float
     r_values: np.ndarray = field(default=None, repr=False, compare=False)
     defect_values: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def as_dict(self) -> dict:
-        return {"which": self.which, "min_defect": self.min_defect,
-                "argmin_r": self.argmin_r, "scale": self.scale, "h": self.h,
-                "restricted_to": self.restricted_to}
 
 
 def verify_elliptic_inequality(profile: SolutionProfile, params: DiagnosticParams,
@@ -620,8 +614,7 @@ def verify_elliptic_inequality(profile: SolutionProfile, params: DiagnosticParam
     r_sel = profile.r[sel]
     scale = float(np.max(dia.weight * (dia.x + np.abs(dia.y)) ** 2) + 1e-300)
     return DefectReport(which, float(defect[sel][idx]), float(r_sel[idx]),
-                        scale, h, 1.5 * profile.grid.R,
-                        r_values=r_sel, defect_values=defect[sel])
+                        scale, h, r_values=r_sel, defect_values=defect[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +701,7 @@ class CubicSpline:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    s: float
     max_deviation: float
-    residual_norm: float
 
 
 def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
@@ -737,7 +728,6 @@ def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
     us = s ** (2.0 / (alpha - 1.0)) * base(s * rs)
     sp = CubicSpline.fit(rs, us)
     dsp = sp.derivative()
-    d2sp = sp.derivative(2)
 
     lo, hi = 0.05 * r_max, 0.90 * r_max
     mid = rs[(rs >= lo) & (rs <= hi)]
@@ -746,10 +736,7 @@ def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
     target = s**2 * q_base
     scale = float(np.max(np.abs(target)) + 1e-300)
     dev = float(np.max(np.abs(q_s - target))) / scale
-
-    lap = d2sp(mid) + (profile.space.n - 1.0) / mid * dsp(mid)
-    res = float(np.max(np.abs(lap + sp(mid) ** alpha)))
-    return ScalingReport(s, dev, res)
+    return ScalingReport(dev)
 
 
 # ---------------------------------------------------------------------------

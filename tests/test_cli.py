@@ -187,6 +187,157 @@ def test_certify_command_exit_codes(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 1
 
 
+# --- the command table ----------------------------------------------------------
+
+README_OPS = {
+    "indices": ["--f", "power:2", "--N", "5"],
+    "certify": ["--f", "power:2", "--N", "4", "--theorem", "1.3"],
+    "solve": ["--f", "power:2", "--space", "flat:4", "--R", "1", "--bv", "0.5"],
+    "verify": ["--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
+               "--R", "1"],
+    "appendix": ["--N", "5", "--alpha", "2", "--K", "1"],
+    "implications": ["--f", "power:2", "--space", "flat:4", "--R", "1"],
+    "suite": [],
+}
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("indices", ["--grid", "7"], "--grid"),
+    ("certify", ["--space", "flat:4"], "--space"),
+    ("solve", ["--N", "5"], "--N"),
+    ("verify", ["--seed", "3"], "--seed"),
+    ("appendix", ["--f", "power:2"], "--f"),
+    ("implications", ["--tol", "1e-3"], "--tol"),
+    ("suite", ["--f", "power:2"], "--f"),
+    ("solve", ["--emit-plot-data", "--seed", "0"], "--seed"),
+])
+def test_unread_flag_is_a_config_error(tmp_path, capsys, command, extra, named):
+    out = tmp_path / "out.json"
+    argv = [command] + README_OPS[command] + extra + ["--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {command} does not read {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["grid", "seed", "command", "config", "bogus"])
+def test_unread_config_key_is_a_config_error(tmp_path, capsys, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "power:2", "N": 5.0, key: 7}))
+    out = tmp_path / "idx.json"
+    assert run(["indices", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: indices does not read config key {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["indices", "--N", "5"], "--f"),
+    (["solve", "--f", "power:2", "--R", "1"], "--space, --bv"),
+    (["verify", "--theorem", "1.9", "--f", "power:2", "--R", "1"], "--space"),
+    (["implications", "--f", "power:2", "--R", "1"], "--space"),
+    (["certify", "--f", "power:2"], "--N, --theorem"),
+    (["appendix", "--N", "5", "--K", "1"], "--alpha"),
+])
+def test_missing_needed_flag_is_a_config_error(tmp_path, capsys, argv, missing):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    command = argv[0]
+    assert capsys.readouterr().err == f"config error: {command} needs {missing}\n"
+    assert not out.exists()
+
+
+def test_command_table_matches_the_parser():
+    parser = cli.build_parser()
+    flags = {a.dest for a in parser._actions} - {"help", "command"}
+    read = set()
+    for _, reads, needs in cli.COMMANDS.values():
+        assert set(needs) <= set(reads) <= flags
+        read |= set(reads)
+    assert flags - read == {"out", "config"}
+    assert sorted(cli.COMMANDS) == sorted(README_OPS)
+
+
+def test_readme_lists_the_flags_each_command_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for name, (_, reads, needs) in cli.COMMANDS.items():
+        row = next(line for line in readme.splitlines()
+                   if line.startswith(f"| `{name}` |"))
+        listed = row.split("|")[2].replace("*", "").replace("`", "")
+        listed = [f.strip() for f in listed.split(",") if f.strip() != "none"]
+        assert sorted(listed) == sorted("--" + k.replace("_", "-") for k in reads)
+        for key in needs:
+            assert f"**`--{key}`**" in row
+
+
+# the config_hash of each README report op before the command table came in;
+# `solve` writes no report and the `suite` report has no hash
+README_HASHES = {
+    "indices": "7feadc5a04bf2cb2a0a313d9376395ebc9519ba4a0b665080cf2656020b36ba8",
+    "certify": "80d9abad3bb229d8623c1407cc2fa2a287031d245b5f5ba2db117e7d1445ffe1",
+    "verify": "c308f3f25d0699f81a318f3012f5d127598fe8cd0bc8351d4e58dc8e98ec9ce2",
+    "appendix": "5e5192059726a1d9bd8e018f32ec19b47cb0226f0bf708699a5ac785cc0461c5",
+    "implications": "614ae32a1afe06b5dbaf7c8a7e97f78d9fff02fd91642971fe1543d9ad02f1f8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_HASHES))
+def test_readme_config_hashes_are_pinned(tmp_path, command):
+    out = tmp_path / "out.json"
+    assert run([command] + README_OPS[command] + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config_hash"] == README_HASHES[command]
+
+
+def test_verify_hash_covers_delta(tmp_path):
+    base = ["verify", "--theorem", "8", "--f", "lich:1,1,3,0,0.5",
+            "--space", "flat:4", "--R", "1", "--bv", "1"]
+    reports = []
+    for delta in ("0.3", "0.6"):
+        out = tmp_path / f"d{delta}.json"
+        assert run(base + ["--delta", delta, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    a, b = reports
+    assert a["certificate"]["delta"] != b["certificate"]["delta"]
+    assert a["config_hash"] != b["config_hash"]
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--f", "power:2", "--N", "4"],
+    ["verify", "--f", "power:2", "--space", "flat:4", "--R", "1"],
+])
+@pytest.mark.parametrize("theorem, flag", [
+    ("1.3", "--alpha"), ("1.7", "--alpha"), ("8", "--alpha"),
+    ("1.3", "--delta"), ("1.5", "--delta"), ("1.9", "--delta"),
+])
+def test_theorem_rejects_a_flag_it_does_not_read(tmp_path, capsys, command,
+                                                 theorem, flag):
+    out = tmp_path / "out.json"
+    argv = command + ["--theorem", theorem, flag, "0.1", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (f"config error: theorem {theorem} "
+                                       f"does not read {flag}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["indices", "--N", "5", "--f", '{"family":"power","alpha":2,"beta":7}'],
+     "unknown key 'beta'"),
+    (["verify", "--theorem", "1.9", "--f", "power:2", "--R", "1", "--space",
+      '{"n":4,"N":5,"wieght":{"kind":"appendix","alpha":2,'
+      '"mu":1.4142135623730951}}'], "unknown key 'wieght'"),
+    (["verify", "--theorem", "1.9", "--f", "power:2", "--R", "1", "--space",
+      '{"n":4,"N":5,"weight":{"kind":"appendix","alpha":2,"mu":1.5,"K":1}}'],
+     "unknown key 'K'"),
+])
+def test_unknown_inline_json_key_is_a_config_error(tmp_path, capsys, argv,
+                                                  named):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad ") and named in err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert run(["certify", "--f", "power:2"]) == 2          # missing --N
     assert run(["solve", "--f", "nope:2", "--space", "flat:4",
@@ -244,7 +395,9 @@ VERIFY_19 = ["verify", "--theorem", "1.9", "--f", "power:2", "--R", "0.5"]
     (VERIFY_19 + ["--space", '{"n": 4, "N": 5, "weight": {"kind": "appendix", '
                              '"alpha": Infinity, "mu": 1}}'], "alpha must be finite"),
     (VERIFY_19 + ["--space", "appendix:5,2,inf"], "'appendix:5,2,inf'"),
-] + [(["indices", "--f", "power:2", f"--{flag}={value}"], f"--{flag} must be finite")
+] + [((["indices", "--f", "power:2"] if flag in ("N", "alpha")
+       else VERIFY_19 + ["--space", "flat:4"]) + [f"--{flag}={value}"],
+      f"--{flag} must be finite")
      for flag, value in [("R", "inf"), ("bv", "inf"), ("N", "inf"), ("K", "inf"),
                          ("alpha", "nan"), ("delta", "inf"), ("tol", "inf"),
                          ("alpha", "-inf")]])
@@ -338,8 +491,8 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 def test_config_does_not_override_explicit_zero(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 5}))
-    base = ["indices", "--f", "power:2", "--N", "5"]
-    outs = [tmp_path / f"i{k}.json" for k in range(3)]
+    base = ["appendix", "--N", "5", "--alpha", "2", "--K", "1"]
+    outs = [tmp_path / f"a{k}.json" for k in range(3)]
     assert run(base + ["--seed", "0", "--config", str(cfg),
                        "--out", str(outs[0])]) == 0
     assert run(base + ["--seed", "0", "--out", str(outs[1])]) == 0
@@ -361,7 +514,7 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
 
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"f": "lich:1,1,3,0,0.5", "N": 2.5,
-                               "theorem": "1.5", "alpha": 2.8, "seed": 7}))
+                               "theorem": "1.5", "alpha": 2.8}))
     assert run(["certify", "--config", str(cfg),
                 "--out", str(tmp_path / "c.json")]) == 0
     golden = tmp_path / "cert_13_N4_power2.json"
@@ -479,13 +632,17 @@ def test_loaded_dgtsv_is_scipys(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    def once(name):
+    def once(argv, name):
         out = tmp_path / name
-        run(["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
-             "--R", "1", "--grid", "256", "--seed", "7", "--out", str(out)])
+        assert run(argv + ["--out", str(out)]) == 0
         return out.read_bytes()
 
-    assert once("a.json") == once("b.json")
+    # verify reads no seed; appendix seeds its sampled eigenvalue check
+    for argv in (["verify", "--theorem", "1.9", "--space", "flat:4",
+                  "--f", "power:2", "--R", "1", "--grid", "256"],
+                 ["appendix", "--N", "5", "--alpha", "2", "--K", "1",
+                  "--seed", "7"]):
+        assert once(argv, "a.json") == once(argv, "b.json")
 
 
 def test_config_hash_tracks_config(tmp_path):

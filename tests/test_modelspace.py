@@ -291,7 +291,7 @@ def test_space_json_round_trip():
 
     nodes = np.linspace(0, 20, 4001)
     again = ms.from_json({"n": 4, "N": 5.0,
-                          "weight": {"kind": "custom-radial", "phi": "table",
+                          "weight": {"kind": "custom-radial",
                                      "r": nodes.tolist(),
                                      "values": asp.space.phi(nodes).tolist()}})
     assert again.weight_kind == "table"
