@@ -7,6 +7,7 @@ executes all of them in order and is shared by the test suite and the CLI's
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -207,11 +208,17 @@ def _c07_inequality_defect() -> CriterionResult:
                            ok, details)
 
 
+@functools.cache
+def _lane_emden_sweep():
+    """`relations.boundary_sweep` of u^2 on flat:4 at R = 1, built once for
+    criteria 08 and 09; callers only read the profiles."""
+    return rel.boundary_sweep(ms.flat(4), nl.power(2.0), 1.0, 1024, 1e-3)
+
+
 def _c08_estimate_battery() -> CriterionResult:
-    flat4 = ms.flat(4)
     spec = nl.power(2.0)
     cert = ct.synthesize(4.0, nl.compute_indices(spec), "1.9")
-    values, corpus = rel.boundary_sweep(flat4, spec, 1.0, 1024, 1e-3)
+    values, corpus = _lane_emden_sweep()
     measured = []
     ok = True
     for prof in corpus:
@@ -225,9 +232,8 @@ def _c08_estimate_battery() -> CriterionResult:
 
 
 def _c09_harnack_arrow() -> CriterionResult:
-    flat4 = ms.flat(4)
     spec = nl.power(2.0)
-    _, corpus = rel.boundary_sweep(flat4, spec, 1.0, 1024, 1e-3)
+    _, corpus = _lane_emden_sweep()
     asp = ms.appendix_space(5.0, 2.0, 1.0)
     rep = rel.implication_suite(corpus, 4.0, spec, 0.0, 1.0)
     rep2 = rel.implication_suite([pde.exact_profile(asp, 1.0, 2048)], 5.0,
@@ -263,15 +269,29 @@ def _c10_lichnerowicz_thresholds() -> CriterionResult:
 
 
 def _c11_scaling_property() -> CriterionResult:
-    flat4 = ms.flat(4)
-    prof = pde.solve_radial_bvp(flat4, nl.power(2.0), 1.0, 0.5,
-                                pde.SolverConfig(m=4096))
+    # for f = u^a on flat space, u_s(x) = s^(2/(a-1)) u(s x) solves the
+    # problem on the ball of radius R/s and its Q is s^2 Q(u)(s x); the grid
+    # over [0, 2R/s] has the same node count, so the solves compare node for
+    # node
+    flat4, alpha = ms.flat(4), 2.0
+    spec = nl.power(alpha)
+    config = pde.SolverConfig(m=4096)
+    params = pde.DiagnosticParams(beta=1.0, d=1.0)
+    prof = pde.solve_radial_bvp(flat4, spec, 1.0, 0.5, config)
+    q = pde.diagnostics(prof, spec, params).Q
+
+    def deviation(got, want):
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
     details = {}
     ok = True
     for s in (0.5, 2.0):
-        rep = pde.scaling_check(prof, s)
-        details[f"s={s}"] = rep.max_deviation
-        ok = ok and rep.max_deviation <= 1e-8
+        k = s ** (2.0 / (alpha - 1.0))
+        scaled = pde.solve_radial_bvp(flat4, spec, 1.0 / s, 0.5 * k, config)
+        q_s = pde.diagnostics(scaled, spec, params).Q
+        dev = max(deviation(scaled.u, k * prof.u), deviation(q_s, s**2 * q))
+        details[f"s={s}"] = dev
+        ok = ok and dev <= 1e-8
     return CriterionResult(11, "quadratic-diagnostic scaling structure",
                            ok, details)
 

@@ -127,6 +127,8 @@ def _certificate(args, spec: nl.NonlinearitySpec, N: float) -> ct.Certificate:
 
 
 def cmd_indices(args) -> int:
+    if args.alpha is not None and args.N is None:
+        raise ConfigError("indices reads --alpha only with --N")
     spec = parse_nonlinearity(args.f)
     idx = nl.compute_indices(spec)
     N = args.N

@@ -17,10 +17,6 @@ class RhoUndefined(LabError):
     """rho(N, Lambda) requested for N = 1, where it has no definition."""
 
 
-class UnsupportedTheorem(LabError):
-    """Unknown theorem identifier."""
-
-
 class HypothesisViolation(LabError):
     """The nonlinearity fails a hypothesis of the requested theorem."""
 
@@ -71,3 +67,7 @@ class BlowUp(LabError):
 
 class ConfigError(LabError):
     """Malformed run configuration."""
+
+
+class UnsupportedTheorem(ConfigError):
+    """Unknown theorem identifier."""

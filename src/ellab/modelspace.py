@@ -102,7 +102,7 @@ def table_weight_space(n: int, N: float, r_nodes, phi_values) -> WeightedSpace:
 
     r_nodes = np.asarray(r_nodes, dtype=float)
     vals = np.asarray(phi_values, dtype=float)
-    sp = CubicSpline.fit(r_nodes, vals, start_slope=0.0)
+    sp = CubicSpline.fit(r_nodes, vals)
     d1, d2 = sp.derivative(1), sp.derivative(2)
     return WeightedSpace(n, N, sp, d1, d2, weight_kind="table",
                          weight_params=(tuple(r_nodes), tuple(vals)))

@@ -14,12 +14,11 @@ centre value u(0) instead, give the boundary value of each centre value:
 many centre values at once, without a Jacobian, which maps the solution
 branch.
 
-On top of profiles the module computes the transform diagnostics (w, the
-first/second-kind auxiliary fields, and the estimate quantity Q), checks each
+On top of profiles the module computes the transform diagnostics (the
+first/second-kind auxiliary fields and the estimate quantity Q), checks each
 estimate kind against a certificate's constant, solves for the regularization
-size from f(L eps)/(L eps) = K + 1/R^2, verifies the differential inequality
-of the auxiliary fields node by node, and tests the scaling structure of pure
-power reactions.
+size from f(L eps)/(L eps) = K + 1/R^2, and verifies the differential
+inequality of the auxiliary fields node by node.
 """
 
 from __future__ import annotations
@@ -405,8 +404,6 @@ class DiagnosticParams:
 
 @dataclass(frozen=True)
 class DiagnosticField:
-    params: DiagnosticParams
-    w: np.ndarray
     x: np.ndarray        # |grad w|^2 / w^2
     y: np.ndarray        # f(u)/u
     weight: np.ndarray   # prefactor of the auxiliary field
@@ -423,16 +420,14 @@ def diagnostics(profile: SolutionProfile, spec: nl.NonlinearitySpec,
     if params.transform == "second":
         if eps <= 0:
             raise ValueError("second transform needs eps > 0")
-        w = (u + eps) ** (-b)
         x = b * b * du * du / (u + eps) ** 2
-        weight = w**g
+        weight = ((u + eps) ** (-b)) ** g
     else:
-        w = u ** (-b)
         x = b * b * du * du / (u * u)
         weight = (u + eps) ** (-b * g)
     fld = weight * (x + d * y)
     Q = du * du / (u * u) + d * y
-    return DiagnosticField(params, w, x, y, weight, fld, Q)
+    return DiagnosticField(x, y, weight, fld, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +554,8 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
 
 @dataclass(frozen=True)
 class DefectReport:
-    which: str
     min_defect: float
-    argmin_r: float
     scale: float
-    h: float
-    r_values: np.ndarray = field(default=None, repr=False, compare=False)
     defect_values: np.ndarray = field(default=None, repr=False, compare=False)
 
 
@@ -610,11 +601,9 @@ def verify_elliptic_inequality(profile: SolutionProfile, params: DiagnosticParam
 
     sel = profile.r <= 1.5 * profile.grid.R * (1 + 1e-12)
     sel[-1] = False  # one-sided boundary stencil is not part of the claim
-    idx = int(np.argmin(defect[sel]))
-    r_sel = profile.r[sel]
     scale = float(np.max(dia.weight * (dia.x + np.abs(dia.y)) ** 2) + 1e-300)
-    return DefectReport(which, float(defect[sel][idx]), float(r_sel[idx]),
-                        scale, h, r_values=r_sel, defect_values=defect[sel])
+    return DefectReport(float(np.min(defect[sel])), scale,
+                        defect_values=defect[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -628,40 +617,34 @@ class CubicSpline:
     and the end pieces extended outside [x[0], x[-1]].
 
     A port of scipy.interpolate's `CubicSpline` and `PPoly` (scipy, BSD-3)
-    for not-a-knot ends or a clamped start slope.  It keeps their float
-    operations in their order, so coefficients, values and derivatives are
-    bit-for-bit scipy's.
+    with a clamped start, slope 0 at x[0], and a not-a-knot end.  It keeps
+    their float operations in their order, so coefficients, values and
+    derivatives are bit-for-bit scipy's.
     """
 
     x: np.ndarray
     c: np.ndarray
 
     @staticmethod
-    def fit(x, y, start_slope: Optional[float] = None) -> "CubicSpline":
-        """Interpolating spline with not-a-knot ends, or with first derivative
-        `start_slope` at x[0] and a not-a-knot end."""
+    def fit(x, y) -> "CubicSpline":
+        """Interpolating spline with first derivative 0 at x[0] and a
+        not-a-knot end."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n = len(x)
         dx = np.diff(x)
-        if (x.ndim != 1 or y.shape != x.shape
-                or n < (2 if start_slope is not None else 4)
+        if (x.ndim != 1 or y.shape != x.shape or n < 2
                 or not (np.isfinite(x).all() and np.isfinite(y).all()
                         and (dx > 0).all())):
-            raise ValueError("a cubic spline needs finite values on strictly "
-                             "increasing nodes, at least 4 (2 with a start slope)")
+            raise ValueError("a cubic spline needs finite values on at least 2 "
+                             "strictly increasing nodes")
         slope = np.diff(y) / dx
         # the tridiagonal system (dl, d, du) s = b for the knot slopes s; rows
         # 0 and n-1 are the end conditions
         dl, d, du, b = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
         dl[:-1], d[1:-1], du[1:] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        if start_slope is None:
-            e = x[2] - x[0]
-            d[0], du[0] = dx[1], e
-            b[0] = ((dx[0] + 2 * e) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / e
-        else:
-            d[0], du[0], b[0] = 1.0, 0.0, start_slope
+        d[0], du[0], b[0] = 1.0, 0.0, 0.0
         if n == 2:
             # one interval has no not-a-knot end; scipy clamps it to the chord
             d[-1], dl[-1], b[-1] = 1.0, 0.0, slope[0]
@@ -693,50 +676,6 @@ class CubicSpline:
         factor = np.array([math.perm(j + nu - 1, nu) for j in range(k, 0, -1)],
                           dtype=float)
         return CubicSpline(self.x, self.c[:k] * factor[:, None])
-
-
-# ---------------------------------------------------------------------------
-# scaling structure
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    max_deviation: float
-
-
-def scaling_check(profile: SolutionProfile, s: float) -> ScalingReport:
-    """Deviation of Q(u_s)(r) = s^2 Q(u)(s r) for u_s(x) = s^(2/(a-1)) u(s x).
-
-    The rescaled profile is built by cubic interpolation of the original
-    values only, with not-a-knot `CubicSpline`s (the port of scipy's); its
-    derivative comes from the new spline, so the identity is tested rather
-    than assumed.
-    """
-    fam = profile.spec.family
-    if not isinstance(fam, nl.PowerLaw):
-        raise ValueError("scaling structure is specific to pure power reactions")
-    if profile.space.weight_kind != "zero":
-        raise ValueError("scaling check needs an unweighted space")
-    alpha = fam.alpha
-    r = profile.r
-    base = CubicSpline.fit(r, profile.u)
-    dbase = base.derivative()
-
-    r_max = r[-1] / max(s, 1.0)
-    # deliberately misaligned node count so the spline is evaluated off-knot
-    rs = np.linspace(0.0, r_max, max(257, int(0.83 * len(r)) | 1))
-    us = s ** (2.0 / (alpha - 1.0)) * base(s * rs)
-    sp = CubicSpline.fit(rs, us)
-    dsp = sp.derivative()
-
-    lo, hi = 0.05 * r_max, 0.90 * r_max
-    mid = rs[(rs >= lo) & (rs <= hi)]
-    q_s = (dsp(mid) / sp(mid)) ** 2 + sp(mid) ** (alpha - 1.0)
-    q_base = (dbase(s * mid) / base(s * mid)) ** 2 + base(s * mid) ** (alpha - 1.0)
-    target = s**2 * q_base
-    scale = float(np.max(np.abs(target)) + 1e-300)
-    dev = float(np.max(np.abs(q_s - target))) / scale
-    return ScalingReport(dev)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,27 @@ def test_theorem_rejects_a_flag_it_does_not_read(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["certify", "--f", "power:2", "--N", "4"],
+    ["verify", "--f", "power:2", "--space", "flat:4", "--R", "1"],
+])
+def test_unknown_theorem_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    assert run(command + ["--theorem", "2.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: unknown theorem id "
+                                       "'2.1'\n")
+    assert not out.exists()
+
+
+def test_indices_alpha_needs_n(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(["indices", "--f", "power:2", "--alpha", "2.5",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: indices reads --alpha "
+                                       "only with --N\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["indices", "--N", "5", "--f", '{"family":"power","alpha":2,"beta":7}'],
      "unknown key 'beta'"),
@@ -597,8 +618,8 @@ assert not packages & set(sys.modules), sorted(packages & set(sys.modules))
 
 def test_solver_commands_load_no_scipy_package(tmp_path):
     # pdelab loads only the compiled LAPACK module, the curvature minimum
-    # uses modelspace's own bounded minimizer, and the scaling check and
-    # tabulated weights use pdelab's own cubic spline
+    # uses modelspace's own bounded minimizer, and tabulated weights use
+    # pdelab's own cubic spline
     _run_probe(tmp_path, _SOLVER_PROBE)
 
 
