@@ -35,8 +35,11 @@ from .errors import ConfigError, InvalidAlpha, LabError
 # them, so `indices` and `certify` load neither the solver nor the battery.
 
 # defaults of the flags that have one, filled in for the commands that read
-# them after the --config merge, so a config file can set them
+# them after the --config merge, so a config file can set them and the config
+# hash covers them; a command's own default wins over the shared one
 DEFAULTS = {"grid": 1024, "tol": 1e-11}
+COMMAND_DEFAULTS = {"verify": {"bv": 0.5},
+                    "implications": {"R": 1.0, "bv": 1e-3}}
 
 # lower limits of the numeric flags: (flag, limit, whether the limit is allowed)
 FLAG_RANGES = (("R", 0.0, False), ("bv", 0.0, False), ("grid", 3, True),
@@ -69,6 +72,9 @@ def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
     raise ConfigError(f"unknown nonlinearity {text!r}")
 
 
+# spaces parsed from the same text are one object, so the caches keyed by a
+# space (the curvature bound, the coarse branch) serve repeated commands
+@functools.lru_cache(maxsize=32)
 def parse_space(text: str) -> ms.WeightedSpace:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
@@ -193,8 +199,7 @@ def cmd_verify(args) -> int:
     N = _dimension(args, space)
     cert = _certificate(args, spec, N)
     K = args.K if args.K is not None else ms.curvature_bound(space, 2 * args.R).K
-    bv = args.bv if args.bv is not None else 0.5
-    prof = pde.solve_radial_bvp(space, spec, args.R, bv,
+    prof = pde.solve_radial_bvp(space, spec, args.R, args.bv,
                                 pde.SolverConfig(m=args.grid, tol=args.tol))
     kind = pde._KIND_FOR_THEOREM[cert.theorem][0]
     rep = pde.check_estimate(prof, cert, K, args.R, kind)
@@ -245,12 +250,10 @@ def cmd_implications(args) -> int:
 
     spec = parse_nonlinearity(args.f)
     space = parse_space(args.space)
-    R = args.R if args.R is not None else 1.0
     N = _dimension(args, space)
-    K = args.K if args.K is not None else ms.curvature_bound(space, 2 * R).K
-    lo = args.bv if args.bv is not None else 1e-3
-    _, corpus = rel.boundary_sweep(space, spec, R, args.grid, lo)
-    rep = rel.implication_suite(corpus, N, spec, K, R)
+    K = args.K if args.K is not None else ms.curvature_bound(space, 2 * args.R).K
+    _, corpus = rel.boundary_sweep(space, spec, args.R, args.grid, args.bv)
+    rep = rel.implication_suite(corpus, N, spec, K, args.R)
     report = rep.as_dict()
     report["config_hash"] = args.config_hash
     path = _write_report(report, args.out, "implications.json")
@@ -317,11 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--space", help="space: flat:n[:N] | appendix:N,alpha,K | JSON")
     parser.add_argument("--N", type=float, help="synthetic dimension")
     parser.add_argument("--K", type=float, help="curvature constant")
-    parser.add_argument("--R", type=float, help="estimate radius (domain is [0, 2R])")
+    parser.add_argument("--R", type=float, help="estimate radius (domain is [0, 2R]; "
+                                               "implications default 1)")
     parser.add_argument("--theorem", help="estimate id: 1.3 | 1.5 | 1.7 | 1.8 | 1.9 | 8")
     parser.add_argument("--alpha", type=float, help="power/comparison exponent")
     parser.add_argument("--delta", type=float, help="quadratic-loss parameter")
-    parser.add_argument("--bv", type=float, help="boundary value")
+    parser.add_argument("--bv", type=float,
+                        help="boundary value (verify default 0.5), or the "
+                             "lowest one of the implications sweep (default 1e-3)")
     parser.add_argument("--grid", type=int,
                         help=f"grid intervals (default {DEFAULTS['grid']})")
     parser.add_argument("--tol", type=float,
@@ -368,6 +374,7 @@ def _checked_config(parser: argparse.ArgumentParser, args) -> dict:
     runs, fill the defaults of the flags it reads, and return those that are
     set: the input of its config hash."""
     _, reads, needs = COMMANDS[args.command]
+    defaults = {**DEFAULTS, **COMMAND_DEFAULTS.get(args.command, {})}
     config = {}
     for action in parser._actions:
         key = action.dest
@@ -375,7 +382,7 @@ def _checked_config(parser: argparse.ArgumentParser, args) -> dict:
             continue
         value = getattr(args, key, None)
         if value is None and key in reads:
-            value = DEFAULTS.get(key)
+            value = defaults.get(key)
             setattr(args, key, value)
         if value is None or value is False:
             continue

@@ -24,6 +24,7 @@ with zero residual, used throughout as the exactness and sharpness oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidAlpha
 
 CURVATURE_SAMPLES = 4096  # nodes of curvature_bound's grid before refinement
+CURVATURE_CACHE = 32      # (space, r_max) pairs whose bound is kept
 # sharpness_quantity samples its diagnostic on [0, SHARPNESS_EXTENT * mu]
 SHARPNESS_EXTENT = 50.0
 
@@ -281,8 +283,15 @@ def _refine_min(fn, grid: np.ndarray) -> tuple[float, float]:
     return float(vals[i]), float(grid[i])
 
 
+@functools.lru_cache(maxsize=CURVATURE_CACHE)
 def curvature_bound(space: WeightedSpace, r_max: float) -> CurvatureReport:
-    """Minimum of both eigenvalue curves over [0, r_max] and the implied K."""
+    """Minimum of both eigenvalue curves over [0, r_max] and the implied K.
+
+    The bound depends on the space and r_max alone, not on any solve's
+    grid, so the last CURVATURE_CACHE reports are kept.  A space's weight
+    functions compare by identity, so a space built twice is two keys;
+    `cli.parse_space` returns one object per text.
+    """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     if space.weight_kind == "zero":

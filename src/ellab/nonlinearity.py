@@ -126,24 +126,33 @@ def lichnerowicz(a: float, b: float, sigma: float, c: float, tau: float) -> Nonl
 # evaluation
 
 
-def evaluate_many(spec: NonlinearitySpec, t: np.ndarray):
-    """Vectorized (f, f', f'') on an array of positive arguments."""
+def evaluate_many(spec: NonlinearitySpec, t: np.ndarray, order: int = 2):
+    """Vectorized (f, f', f'')[:order + 1] on an array of positive arguments.
+
+    A lower `order` skips the higher derivatives; the arrays it returns are
+    bit for bit the leading ones of the full call.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise NonPositiveArgument("nonlinearity sampled at t <= 0")
     terms = spec.family.terms
     if not terms:
-        return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        return tuple(np.zeros_like(t) for _ in range(order + 1))
     # accumulate in place and skip the multiply by k = 1 of a pure power:
     # the solver makes thousands of small-grid calls, where each pass counts
     (k, a), *rest = terms
-    f = t**a if k == 1.0 else k * t**a
-    df, d2f = k * a * t ** (a - 1), k * a * (a - 1) * t ** (a - 2)
+    out = [t**a if k == 1.0 else k * t**a]
+    if order >= 1:
+        out.append(k * a * t ** (a - 1))
+    if order >= 2:
+        out.append(k * a * (a - 1) * t ** (a - 2))
     for k, a in rest:
-        f += k * t**a
-        df += k * a * t ** (a - 1)
-        d2f += k * a * (a - 1) * t ** (a - 2)
-    return f, df, d2f
+        out[0] += k * t**a
+        if order >= 1:
+            out[1] += k * a * t ** (a - 1)
+        if order >= 2:
+            out[2] += k * a * (a - 1) * t ** (a - 2)
+    return tuple(out)
 
 
 def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ inequality of the auxiliary fields node by node.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -60,6 +61,7 @@ BLOWUP_FACTOR = 1e8    # max(u) / boundary value that counts as blow-up
 # peaks below the boundary sweep's lowest rung 0.1
 BRANCH_CENTRES = 0.1 * np.geomspace(2.0**-40, 2.0**40, 1023)
 BRANCH_GRID = 128      # intervals of the coarse march over those centres
+BRANCH_CACHE = 32      # (space, spec, R) triples whose coarse branch is kept
 REFINE_CENTRES = 65    # centres between two of those that refine a bracket
 EPS_REL_TOL = 1e-12    # relative width at which choose_epsilon stops bisecting
 _FLAPACK = "scipy.linalg._flapack"
@@ -98,8 +100,11 @@ class SolutionProfile:
     def r(self) -> np.ndarray:
         return self.grid.nodes
 
-    def ball(self, radius: float) -> np.ndarray:
-        return self.grid.nodes <= radius * (1.0 + 1e-12)
+    def ball(self, radius: float) -> slice:
+        """The nodes with r <= radius (up to rounding): a prefix of the
+        sorted grid, so indexing with it gives views, not copies."""
+        return slice(0, int(np.searchsorted(self.grid.nodes,
+                                            radius * (1.0 + 1e-12), "right")))
 
 
 def _drift(space, grid: RadialGrid) -> np.ndarray:
@@ -116,7 +121,7 @@ def _residual(space, spec, grid: RadialGrid, drift: np.ndarray, full: np.ndarray
     """
     h, n = grid.h, space.n
     m = full.shape[1] - 1
-    f, df = nl.evaluate_many(spec, np.maximum(full, 1e-300))[:2]
+    f, df = nl.evaluate_many(spec, np.maximum(full, 1e-300), order=1)
     res = np.empty((len(full), m))
     res[:, 0] = 2.0 * n * (full[:, 1] - full[:, 0]) / h**2 + f[:, 0]
     res[:, 1:] = ((full[:, 2:] - 2.0 * full[:, 1:m] + full[:, :m - 1]) / h**2
@@ -318,12 +323,19 @@ def _no_solution(error, space, spec, R, m, bv, message):
     return error(message)
 
 
+@functools.lru_cache(maxsize=BRANCH_CACHE)
 def branch(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
            R: float) -> np.ndarray:
     """Boundary value of each of BRANCH_CENTRES on a BRANCH_GRID grid, 0
     where the centre has no positive solution: the one coarse map of the
-    solution branch."""
-    return march_boundary_values(space, spec, R, BRANCH_GRID, BRANCH_CENTRES)
+    solution branch.
+
+    The map does not depend on the grid of any solve, so the last
+    BRANCH_CACHE maps are kept, and each is read-only.
+    """
+    out = march_boundary_values(space, spec, R, BRANCH_GRID, BRANCH_CENTRES)
+    out.flags.writeable = False
+    return out
 
 
 def refine(space: ms.WeightedSpace, spec: nl.NonlinearitySpec, R: float,
@@ -348,20 +360,28 @@ def march_boundary_values(space: ms.WeightedSpace, spec: nl.NonlinearitySpec,
     grid = RadialGrid.uniform(R, m)
     h2 = grid.h**2
     c = _drift(space, grid) * (grid.h / 2.0)
+    behind, ahead = 1.0 - c, 1.0 + c
     a = np.asarray(centres, dtype=float)
     lanes = np.arange(a.size)
     cap = BLOWUP_FACTOR * a
     out = np.zeros(a.size)
     # a diverging lane overflows before it is dropped; it is dead either way
     with np.errstate(over="ignore", invalid="ignore"):
-        f, _, _ = nl.evaluate_many(spec, a)
+        (f,) = nl.evaluate_many(spec, a, order=0)
         prev, cur = a, a - h2 * f / (2.0 * space.n)
         for i in range(m - 1):
             live = (cur > 0) & (cur <= cap)
             if not live.all():
                 lanes, prev, cur, cap = lanes[live], prev[live], cur[live], cap[live]
-            f, _, _ = nl.evaluate_many(spec, cur)
-            prev, cur = cur, (2.0 * cur - (1.0 - c[i]) * prev - h2 * f) / (1.0 + c[i])
+            (f,) = nl.evaluate_many(spec, cur, order=0)
+            # (2 cur - (1 - c_i) prev - h^2 f) / (1 + c_i) in that order, in
+            # arrays this row made: prev may be the caller's centres
+            nxt = 2.0 * cur
+            nxt -= behind[i] * prev
+            f *= h2
+            nxt -= f
+            nxt /= ahead[i]
+            prev, cur = cur, nxt
         live = (cur > 0) & (cur <= cap)
     out[lanes[live]] = cur[live]
     return out
@@ -415,7 +435,7 @@ def diagnostics(profile: SolutionProfile, spec: nl.NonlinearitySpec,
                 params: DiagnosticParams) -> DiagnosticField:
     u, du = profile.u, profile.du
     b, g, d, eps = params.beta, params.gamma, params.d, params.eps
-    f, _, _ = nl.evaluate_many(spec, u)
+    (f,) = nl.evaluate_many(spec, u, order=0)
     y = f / u
     if params.transform == "second":
         if eps <= 0:
@@ -444,7 +464,7 @@ def choose_epsilon(spec: nl.NonlinearitySpec, L: float, K: float, R: float) -> f
 
     def g(e):
         t = L * e
-        f, _, _ = nl.evaluate_many(spec, np.array([t]))
+        (f,) = nl.evaluate_many(spec, np.array([t]), order=0)
         return float(f[0]) / t
 
     glo = g(1e-30)
@@ -515,7 +535,7 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
     spec = profile.spec
     inner = profile.ball(R)
     u, du = profile.u[inner], profile.du[inner]
-    f, _, _ = nl.evaluate_many(spec, u)
+    (f,) = nl.evaluate_many(spec, u, order=0)
     C = cert.C
     details: dict = {"R": R, "K": K}
 
@@ -537,7 +557,7 @@ def check_estimate(profile: SolutionProfile, cert: Certificate, K: float,
         if eps is None:
             eps = choose_epsilon(spec, L, K, R)
         beta = cert.beta
-        fL, _, _ = nl.evaluate_many(spec, np.array([L * eps]))
+        (fL,) = nl.evaluate_many(spec, np.array([L * eps]), order=0)
         grad_den = u**2 if kind == "eps-I" else (u + eps) ** 2
         measured = float(np.max((u + eps) ** (-beta) * (du**2 / grad_den + f / u)))
         bound = C * eps ** (-beta) * (K + 1.0 / R**2 + float(fL[0]) / eps)

@@ -270,14 +270,15 @@ def test_readme_lists_the_flags_each_command_reads():
             assert f"**`--{key}`**" in row
 
 
-# the config_hash of each README report op before the command table came in;
-# `solve` writes no report and the `suite` report has no hash
+# the config_hash of each README report op; `solve` writes no report and the
+# `suite` report has no hash.  `verify` and `implications` hash their --bv
+# (and --R) defaults, so each equals the hash of its op with those given.
 README_HASHES = {
     "indices": "7feadc5a04bf2cb2a0a313d9376395ebc9519ba4a0b665080cf2656020b36ba8",
     "certify": "80d9abad3bb229d8623c1407cc2fa2a287031d245b5f5ba2db117e7d1445ffe1",
-    "verify": "c308f3f25d0699f81a318f3012f5d127598fe8cd0bc8351d4e58dc8e98ec9ce2",
+    "verify": "13231ea17ee66ca3ba937a12062afd54dd6558bfd0f8cc9ec05f14604a3859a9",
     "appendix": "5e5192059726a1d9bd8e018f32ec19b47cb0226f0bf708699a5ac785cc0461c5",
-    "implications": "614ae32a1afe06b5dbaf7c8a7e97f78d9fff02fd91642971fe1543d9ad02f1f8",
+    "implications": "bae7bc3aee7136b2ff9982fc7283f18547f506d9dd664fd0dbc1bc3df2b9fdc8",
 }
 
 
@@ -286,6 +287,21 @@ def test_readme_config_hashes_are_pinned(tmp_path, command):
     out = tmp_path / "out.json"
     assert run([command] + README_OPS[command] + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["config_hash"] == README_HASHES[command]
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["verify", "--theorem", "1.9", "--space", "flat:4", "--f", "power:2",
+      "--R", "1"], ["--bv", "0.5"]),
+    (["implications", "--f", "power:2", "--space", "flat:4"],
+     ["--R", "1", "--bv", "1e-3"]),
+])
+def test_default_flags_hash_like_given_ones(tmp_path, argv, defaults):
+    reports = []
+    for extra in ([], defaults):
+        out = tmp_path / f"{len(extra)}.json"
+        assert run(argv + extra + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_hash_covers_delta(tmp_path):
@@ -689,6 +705,43 @@ def test_suite_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(acceptance, "CRITERIA", [failing])
     assert run(["suite"]) == 1
+
+
+# --- in-process caches ----------------------------------------------------------
+
+def caches():
+    """The memoized grid-independent steps of a run: imported here, so the
+    module's probes of what a cheap command loads stay untouched."""
+    from ellab import modelspace as ms
+    from ellab import pdelab as pde
+    return cli.parse_space, ms.curvature_bound, pde.branch
+
+
+def test_caches_are_bounded():
+    for cache in caches():
+        assert isinstance(cache.cache_parameters()["maxsize"], int)
+
+
+@pytest.mark.parametrize("argv", [
+    ["implications", "--f", "power:2", "--space", "appendix:5,2,1", "--R", "1",
+     "--grid", "512"],
+    ["verify", "--theorem", "1.9", "--space", "appendix:5,2,1", "--f",
+     "power:2", "--R", "1"],
+])
+def test_a_warm_run_writes_the_bytes_of_a_cold_one(tmp_path, argv):
+    parse_space, curvature_bound, branch = caches()
+    for cache in caches():
+        cache.cache_clear()
+    written = []
+    for name in ("cold", "warm"):
+        out = tmp_path / f"{name}.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        written.append([p.read_bytes() for p in (out, out.with_suffix(".csv"))
+                        if p.exists()])
+    assert written[0] == written[1]
+    assert parse_space.cache_info().hits == 1
+    assert curvature_bound.cache_info().hits == 1
+    assert branch.cache_info().hits == (argv[0] == "implications")
 
 
 # --- golden certificates ----------------------------------------------------------

@@ -104,6 +104,24 @@ def test_evaluate_rejects_nonpositive():
 
 @pytest.mark.parametrize("spec", [
     nl.power(2.0),
+    nl.power_sum([(1.0, 2.0), (2.0, 3.5), (0.5, 0.5)]),
+    nl.lichnerowicz(1, 1, 3, 2, 0.5),
+    nl.lichnerowicz(0, 0, 3, 0, 0.5),   # the empty sum
+])
+def test_lower_orders_are_the_leading_arrays_bit_for_bit(spec):
+    # under- and overflowing monomials included
+    t = np.geomspace(1e-200, 1e200, 4001)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        full = nl.evaluate_many(spec, t)
+        for order in (0, 1):
+            lower = nl.evaluate_many(spec, t, order=order)
+            assert len(lower) == order + 1
+            for got, want in zip(lower, full):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    nl.power(2.0),
     nl.power(0.5),
     nl.power_sum([(1.0, 2.0), (2.0, 3.5)]),
     nl.power_sum([(1.0, 0.5), (1.0, 2.0)]),

@@ -110,6 +110,25 @@ def test_march_zeroes_lanes_without_a_positive_solution():
     assert bv[0] == pytest.approx(1.0) and bv[1] == 0.0
 
 
+@pytest.mark.parametrize("space, top, at", [
+    (FLAT4, 0.8585103773656032, 571),
+    (ms.appendix_space(5.0, 2.0, 1.0).space, 1.0999485741291068, 578),
+])
+def test_branch_maximum_is_pinned_bit_for_bit(space, top, at):
+    reach = pde.branch(space, LANE_EMDEN, 1.0)
+    assert (float(np.max(reach)), int(np.argmax(reach))) == (top, at)
+
+
+def test_branch_is_read_only_and_leaves_the_centres_alone():
+    centres = pde.BRANCH_CENTRES.copy()
+    pde.branch.cache_clear()
+    reach = pde.branch(FLAT4, LANE_EMDEN, 1.0)
+    with pytest.raises(ValueError):
+        reach[0] = 1.0
+    assert pde.branch(FLAT4, LANE_EMDEN, 1.0) is reach
+    assert np.array_equal(pde.BRANCH_CENTRES, centres)
+
+
 def test_supercritical_data_fails():
     with pytest.raises((BlowUp, NoConvergence, pde.PositivityLost)):
         pde.solve_radial_bvp(FLAT4, LANE_EMDEN, 1.0, 50.0, pde.SolverConfig(m=256))

@@ -160,10 +160,8 @@ def test_boundary_sweep_rejects_a_start_at_or_above_its_end(monkeypatch, lo):
         rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 512, lo)
 
 
-@pytest.mark.parametrize("space", [ms.flat(3), FLAT4,
-                                   ms.appendix_space(5.0, 2.0, 1.0).space])
-def test_boundary_sweep_marches_once_when_the_first_centre_lives(monkeypatch,
-                                                                  space):
+def count_marches(monkeypatch):
+    """The grid of each march from here on, in call order."""
     calls = []
     march = pde.march_boundary_values
 
@@ -172,7 +170,27 @@ def test_boundary_sweep_marches_once_when_the_first_centre_lives(monkeypatch,
         return march(*args)
 
     monkeypatch.setattr(pde, "march_boundary_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("space", [ms.flat(3), FLAT4,
+                                   ms.appendix_space(5.0, 2.0, 1.0).space])
+def test_boundary_sweep_marches_once_when_the_first_centre_lives(monkeypatch,
+                                                                  space):
+    calls = count_marches(monkeypatch)
+    pde.branch.cache_clear()
     rel.boundary_sweep(space, LANE_EMDEN, 1.0, 1024, 1e-3)
+    assert calls == [pde.BRANCH_GRID]
+
+
+def test_boundary_sweep_reuses_the_branch_of_its_space_and_radius(monkeypatch):
+    # the coarse branch does not depend on the sweep's grid m, but on R
+    pde.branch.cache_clear()
+    rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 1024, 1e-3)
+    calls = count_marches(monkeypatch)
+    rel.boundary_sweep(FLAT4, LANE_EMDEN, 1.0, 512, 1e-3)
+    assert calls == []
+    rel.boundary_sweep(FLAT4, LANE_EMDEN, 0.5, 512, 1e-3)
     assert calls == [pde.BRANCH_GRID]
 
 
