@@ -8,7 +8,8 @@ one-dimensional.  The curvature object is
 
 whose eigenvalues split into a radial curve phi'' - phi'^2/(N-n) and a
 tangential curve phi'(r)/r of multiplicity n-1.  The effective lower bound
--K is the minimum of the two curves over the working domain.
+-K is the minimum of the two curves over the working domain, read off a
+finite set of candidate radii that holds every critical point.
 
 The module also carries the lab's exact laboratory family: for N > 3 and a
 subcritical exponent the logarithmic weight
@@ -33,10 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidAlpha
 
-CURVATURE_SAMPLES = 4096  # nodes of curvature_bound's grid before refinement
 CURVATURE_CACHE = 32      # (space, r_max) pairs whose bound is kept
-# sharpness_quantity samples its diagnostic on [0, SHARPNESS_EXTENT * mu]
-SHARPNESS_EXTENT = 50.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class WeightedSpace:
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Callable[[np.ndarray], np.ndarray]
     d2phi: Callable[[np.ndarray], np.ndarray]
-    weight_kind: str = "custom-radial"
+    weight_kind: str  # "zero", "appendix" or "table": what curvature_bound reads
     weight_params: tuple = ()
 
     def __post_init__(self):
@@ -76,8 +74,7 @@ def flat(n: int, N: Optional[float] = None) -> WeightedSpace:
                          weight_kind="zero")
 
 
-def log_weight_space(n: int, N: float, gamma: float, mu: float,
-                     kind: str = "appendix") -> WeightedSpace:
+def log_weight_space(n: int, N: float, gamma: float, mu: float) -> WeightedSpace:
     """Weight gamma * ln(mu^2 + r^2)."""
     mu2 = mu * mu
 
@@ -93,7 +90,7 @@ def log_weight_space(n: int, N: float, gamma: float, mu: float,
         return 2.0 * gamma * (mu2 - r**2) / (mu2 + r**2) ** 2
 
     return WeightedSpace(n, N, phi, dphi, d2phi,
-                         weight_kind=kind, weight_params=(gamma, mu))
+                         weight_kind="appendix", weight_params=(gamma, mu))
 
 
 def table_weight_space(n: int, N: float, r_nodes, phi_values) -> WeightedSpace:
@@ -183,127 +180,90 @@ class CurvatureReport:
                 "which": self.which, "K": self.K, "r_max": self.r_max}
 
 
-def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """(min, argmin) of func on [a, b] by Brent's bounded method.
-
-    A port of scipy.optimize's `_minimize_scalar_bounded` (scipy, BSD-3)
-    with the same float operations in the same order, without its printing,
-    result object and bounds validation; the caller ensures a < b.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # check for a parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # check the parabola is acceptable
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-
-        if golden:  # a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= 500:  # scipy's default maxiter
-            break
-    return fx, xf
+def _may_vanish(poly: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Columns of `poly` (coefficients, highest power first) that may vanish
+    on [s0, s1]: by the mean value theorem a root there needs |p(s0)| at
+    most (s1 - s0) times a bound on |p'| over the interval."""
+    value = np.zeros_like(s0)
+    for row in poly:
+        value = value * s0 + row
+    top = np.maximum(np.abs(s0), np.abs(s1))
+    slope = np.zeros_like(s0)
+    deg = len(poly) - 1
+    for k, row in enumerate(poly[:-1]):
+        slope = slope * top + (deg - k) * np.abs(row)
+    bound = (s1 - s0) * slope
+    return (np.abs(value) <= bound) & (bound > 0)
 
 
-def _refine_min(fn, grid: np.ndarray) -> tuple[float, float]:
-    vals = fn(grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi > lo:
-        fun, x = _bounded_min(lambda r: float(fn(np.float64(r))), lo, hi,
-                              1e-13 * max(1.0, hi))
-        if fun < vals[i]:
-            return float(fun), float(x)
-    return float(vals[i]), float(grid[i])
+def _table_candidates(dphi, m: float, r_max: float) -> np.ndarray:
+    """Piece ends of the spline phi' on [0, r_max] and, inside each piece,
+    the real parts of the roots of both curves' derivative numerators."""
+    x = dphi.x
+    ends = np.concatenate(([0.0], x[(x > 0) & (x < r_max)], [r_max]))
+    i = np.clip(np.searchsorted(x, ends[:-1], "right") - 1, 0, len(x) - 2)
+    xi = x[i]
+    s0, s1 = ends[:-1] - xi, ends[1:] - xi
+    # phi' = A s^2 + B s + C with s = r - x_i: the radial curve's derivative
+    # is -2/m times the cubic, and the tangential curve's is the quadratic
+    # over r^2
+    A, B, C = dphi.c[:, i]
+    cubic = np.stack((2 * A * A, 3 * A * B, B * B + 2 * A * C, B * C - m * A))
+    quad = np.stack((A, 2 * A * xi, B * xi - C))
+    found = [ends]
+    for poly in (cubic, quad):
+        for j in np.flatnonzero(_may_vanish(poly, s0, s1)):
+            z = np.roots(poly[:, j]).real
+            found.append(xi[j] + z[(z > s0[j]) & (z < s1[j])])
+    return np.concatenate(found)
+
+
+def _candidate_radii(space: WeightedSpace, r_max: float) -> np.ndarray:
+    """Radii in [0, r_max] among which both eigenvalue curves take their
+    minima on that interval."""
+    if space.weight_kind == "appendix":
+        # with t = r^2/mu^2 the tangential curve 2 gamma/(mu^2 + r^2) is
+        # monotone and the radial curve has its one critical point at t*
+        gamma, mu = space.weight_params
+        m = space.N - space.n
+        radii = [0.0, r_max]
+        if m + 2.0 * gamma != 0:
+            t_star = (3.0 * m + 2.0 * gamma) / (m + 2.0 * gamma)
+            if t_star > 0 and abs(mu) * math.sqrt(t_star) < r_max:
+                radii.append(abs(mu) * math.sqrt(t_star))
+        return np.array(radii)
+    if space.weight_kind == "table":
+        return _table_candidates(space.dphi, space.N - space.n, r_max)
+    raise ValueError(f"no curvature candidates for weight kind "
+                     f"{space.weight_kind!r}")
 
 
 @functools.lru_cache(maxsize=CURVATURE_CACHE)
 def curvature_bound(space: WeightedSpace, r_max: float) -> CurvatureReport:
     """Minimum of both eigenvalue curves over [0, r_max] and the implied K.
 
-    The bound depends on the space and r_max alone, not on any solve's
-    grid, so the last CURVATURE_CACHE reports are kept.  A space's weight
-    functions compare by identity, so a space built twice is two keys;
-    `cli.parse_space` returns one object per text.
+    The curves are evaluated at a finite set of candidate radii that holds
+    their minima: the ends of the interval and each critical point, in
+    closed form for the logarithmic weight and as roots of a cubic and a
+    quadratic on each piece of a tabulated weight's spline.  The bound
+    depends on the space and r_max alone, so the last CURVATURE_CACHE
+    reports are kept.  A space's weight functions compare by identity, so
+    a space built twice is two keys; `cli.parse_space` returns one object
+    per text.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     if space.weight_kind == "zero":
         # phi' and phi'' vanish identically, so both curves are zero
         return CurvatureReport(0.0, 0.0, "radial", 0.0, r_max)
-    grid = np.linspace(0.0, r_max, CURVATURE_SAMPLES)
-    m_rad, r_rad = _refine_min(lambda r: radial_eigenvalue(space, r), grid)
-    m_tan, r_tan = _refine_min(lambda r: tangential_eigenvalue(space, r), grid)
-    if m_rad <= m_tan:
-        minimum, argmin, which = m_rad, r_rad, "radial"
+    # sorted, so a tie goes to the smallest radius
+    r = np.sort(_candidate_radii(space, r_max))
+    rad, tan = radial_eigenvalue(space, r), tangential_eigenvalue(space, r)
+    i, j = int(np.argmin(rad)), int(np.argmin(tan))
+    if rad[i] <= tan[j]:
+        minimum, argmin, which = float(rad[i]), float(r[i]), "radial"
     else:
-        minimum, argmin, which = m_tan, r_tan, "tangential"
+        minimum, argmin, which = float(tan[j]), float(r[j]), "tangential"
     return CurvatureReport(minimum, argmin, which, max(0.0, -minimum), r_max)
 
 
@@ -438,25 +398,21 @@ def weighted_laplacian_values(space: WeightedSpace, u, du, d2u, r) -> np.ndarray
 
 
 def sharpness_quantity(aspace: AppendixSpace):
-    """sup over r of |grad u|^2/u^2 + u^(alpha-1), and its ratio to K.
+    """sup over r of |grad u|^2/u^2 + u^(alpha-1), its ratio to K, and the
+    radius where it is attained.
 
-    The diagnostic decays at infinity, so a generous truncated domain with
-    1-D refinement locates the supremum.
+    With t = r^2 the diagnostic is (c1 t + c0)/(mu^2 + t)^2 for positive c1
+    and c0; its one critical point t* = mu^2 (1 - n(alpha-1)/2) is the
+    maximum when positive, and otherwise it decreases from r = 0.
     """
     alpha, n, mu = aspace.alpha, aspace.n, aspace.mu
-
-    def diag(r):
-        r = np.asarray(r, dtype=float)
-        s = mu * mu + r * r
-        grad_log_sq = 16.0 * r * r / ((alpha - 1.0) ** 2 * s**2)
-        upow = 4.0 * n * mu * mu / ((alpha - 1.0) * s**2)
-        return grad_log_sq + upow
-
-    grid = np.linspace(0.0, SHARPNESS_EXTENT * mu, 8193)
-    neg = lambda r: -diag(r)
-    m, argmax = _refine_min(neg, grid)
-    sup = -m
-    return sup, sup / aspace.K, argmax
+    t_star = mu * mu * (1.0 - n * (alpha - 1.0) / 2.0)
+    r = math.sqrt(t_star) if t_star > 0 else 0.0
+    s = mu * mu + r * r
+    grad_log_sq = 16.0 * r * r / ((alpha - 1.0) ** 2 * s**2)
+    upow = 4.0 * n * mu * mu / ((alpha - 1.0) * s**2)
+    sup = grad_log_sq + upow
+    return sup, sup / aspace.K, r
 
 
 # ---------------------------------------------------------------------------

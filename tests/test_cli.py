@@ -626,7 +626,8 @@ for argv in (["solve", "--f", "power:2", "--space", "flat:4", "--R", "1",
               "--R", "1"],
              ["suite", "--out", "suite.json"]):
     assert cli.main(argv) == 0, argv
-ms.table_weight_space(4, 5.0, [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 2.0, 4.5])
+table = ms.table_weight_space(4, 5.0, [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 2.0, 4.5])
+ms.curvature_bound(table, 3.0)
 packages = {"scipy", "scipy.linalg", "scipy.optimize", "scipy.interpolate"}
 assert not packages & set(sys.modules), sorted(packages & set(sys.modules))
 """
@@ -634,8 +635,8 @@ assert not packages & set(sys.modules), sorted(packages & set(sys.modules))
 
 def test_solver_commands_load_no_scipy_package(tmp_path):
     # pdelab loads only the compiled LAPACK module, the curvature minimum
-    # uses modelspace's own bounded minimizer, and tabulated weights use
-    # pdelab's own cubic spline
+    # takes candidate radii from closed forms and numpy's polynomial roots,
+    # and tabulated weights use pdelab's own cubic spline
     _run_probe(tmp_path, _SOLVER_PROBE)
 
 
@@ -765,6 +766,8 @@ def test_a_warm_run_writes_the_bytes_of_a_cold_one(tmp_path, argv):
     ("implications_flat4_power2.json",
      ["implications", "--f", "power:2", "--space", "flat:4", "--R", "1",
       "--grid", "512"]),
+    ("appendix_N5_alpha2_K1.json",
+     ["appendix", "--N", "5", "--alpha", "2", "--K", "1"]),
 ])
 def test_golden_certificates(tmp_path, name, argv):
     out = tmp_path / name

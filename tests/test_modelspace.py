@@ -26,7 +26,8 @@ def test_flat_space_tensor_is_zero():
 
 
 def test_zero_weight_short_circuit_matches_sampled_path():
-    # gamma = 0 gives an identically zero weight that takes the sampled path
+    # gamma = 0 gives an identically zero weight that takes the log weight's
+    # candidate radii
     sampled = ms.curvature_bound(ms.log_weight_space(4, 5.0, 0.0, 1.0), 5.0)
     short = ms.curvature_bound(ms.flat(4, 5.0), 5.0)
     assert short.as_dict() == sampled.as_dict()
@@ -107,41 +108,53 @@ def test_curvature_minimum_scales_like_inverse_mu_squared():
 
 
 def test_curvature_scale_covariance():
-    # phi(s r) multiplies the eigenvalue minimum by s^2
+    # phi(s r) multiplies the eigenvalue minimum by s^2: for the log weight
+    # that is the weight at mu/s, for a table the same values at nodes/s
     asp = ms.appendix_space_from_mu(5.0, 2.0, 1.0)
+    nodes = np.linspace(0.0, 20.0, 2001)
+    values = np.asarray(asp.space.phi(nodes))
     base = ms.curvature_bound(asp.space, 40.0).minimum
+    base_table = ms.curvature_bound(ms.table_weight_space(4, 5.0, nodes, values),
+                                    40.0).minimum
     for s in (0.5, 2.0):
-        scaled = ms.WeightedSpace(
-            asp.space.n, asp.space.N,
-            lambda r, s=s: asp.space.phi(s * np.asarray(r)),
-            lambda r, s=s: s * asp.space.dphi(s * np.asarray(r)),
-            lambda r, s=s: s * s * asp.space.d2phi(s * np.asarray(r)))
+        scaled = ms.log_weight_space(4, 5.0, asp.gamma, asp.mu / s)
         got = ms.curvature_bound(scaled, 40.0 / s).minimum
         assert got == pytest.approx(s * s * base, rel=1e-9)
+        table = ms.table_weight_space(4, 5.0, nodes / s, values)
+        got = ms.curvature_bound(table, 40.0 / s).minimum
+        assert got == pytest.approx(s * s * base_table, rel=1e-9)
 
 
-@pytest.mark.parametrize("triple", [(5.0, 2.0, 1.0), (4.5, 1.8, 2.0),
-                                    (7.0, 1.3, 0.5)])
-def test_bounded_min_matches_scipy_bit_for_bit(monkeypatch, triple):
-    from scipy.optimize import minimize_scalar
+def test_table_curvature_bound_matches_a_dense_scan():
+    # 4001 nodes of the interior-branch weight: the spline's minimum lies
+    # inside a piece, at a root of the radial curve's derivative
+    asp = ms.appendix_space(4.2, 2.0, 1.0)
+    nodes = np.linspace(0.0, 20.0, 4001)
+    sp = ms.table_weight_space(4, 4.2, nodes, np.asarray(asp.space.phi(nodes)))
+    rep = ms.curvature_bound(sp, 20.0)
+    scan = brute_force_min(sp, 20.0)
+    assert rep.which == "radial" and 1.9 < rep.argmin_r < 2.1
+    assert rep.minimum <= scan + 1e-14
+    assert scan - rep.minimum < 1e-9
 
-    # record the radial, tangential and sharpness curves with their brackets
-    # as the appendix command refines them
-    port, calls = ms._bounded_min, []
 
-    def record(func, a, b, xatol):
-        calls.append((func, a, b, xatol))
-        return port(func, a, b, xatol)
+def test_log_weight_with_positive_gamma_has_an_interior_minimum():
+    # n = 4, N = 5, alpha = 7: gamma = 2/3 > 0, radial minimum -49/90 at
+    # r = sqrt(13/7), the tangential curve is positive
+    sp = ms.log_weight_space(4, 5.0, ms.decay_coefficient(4, 7.0), 1.0)
+    rep = ms.curvature_bound(sp, 20.0)
+    assert rep.minimum == pytest.approx(-49.0 / 90.0, rel=1e-14)
+    assert rep.argmin_r == pytest.approx(math.sqrt(13.0 / 7.0), rel=1e-12)
+    scan = brute_force_min(sp, 20.0)
+    assert rep.minimum <= scan + 1e-14
+    assert scan - rep.minimum < 1e-9
 
-    monkeypatch.setattr(ms, "_bounded_min", record)
-    asp = ms.appendix_space(*triple)
-    ms.curvature_bound(asp.space, 50.0 * asp.mu)
-    ms.sharpness_quantity(asp)
-    assert len(calls) == 3
-    for func, a, b, xatol in calls:
-        ref = minimize_scalar(func, bounds=(a, b), method="bounded",
-                              options={"xatol": xatol})
-        assert port(func, a, b, xatol) == (ref.fun, ref.x)
+
+def test_curvature_bound_names_a_weight_without_candidates():
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    sp = ms.WeightedSpace(4, 5.0, zero, zero, zero, weight_kind="custom")
+    with pytest.raises(ValueError, match="'custom'"):
+        ms.curvature_bound(sp, 1.0)
 
 
 def test_report_minimum_below_curves():
@@ -255,6 +268,26 @@ def test_sharpness_closed_form_n4_alpha2():
     assert sup == pytest.approx(16.0 / asp.mu**2, abs=1e-10)
     assert ratio == pytest.approx(8.0, abs=1e-8)
     assert argmax == pytest.approx(0.0, abs=1e-5)
+
+
+def test_sharpness_interior_supremum_matches_a_dense_scan():
+    # n = 6, alpha = 1.3: the supremum lies off the origin
+    asp = ms.appendix_space(7.0, 1.3, 0.5)
+    sup, ratio, argmax = ms.sharpness_quantity(asp)
+
+    def diag(r):
+        u, du, _, _ = ms.appendix_solution(asp, r)
+        return (du / u) ** 2 + u ** (asp.alpha - 1.0)
+
+    r = np.linspace(0.0, 50.0 * asp.mu, 100001)
+    i = int(np.argmax(diag(r)))
+    fine = np.linspace(r[i - 1], r[i + 1], 100001)
+    d = diag(fine)
+    assert argmax == pytest.approx(2.1022, abs=1e-4)
+    assert argmax == pytest.approx(fine[np.argmax(d)], abs=1e-6)
+    assert sup >= np.max(d) - 1e-15
+    assert sup == pytest.approx(np.max(d), rel=1e-13)
+    assert ratio == pytest.approx(sup / 0.5, rel=1e-15)
 
 
 def test_sharpness_ratio_mu_independent():
