@@ -445,10 +445,10 @@ def _synth_window_second(N: float, idx: nl.IndexReport, theorem: str,
         ylin = (4.0 / N) * (1.0 + b) + b + 2.0 * (1.0 - upper)
         if ylin <= 0:
             raise Infeasible("linear cross floor nonpositive")
-        # quadratic d-correction bounded by half the linear floor
-        xs = np.linspace(idx.lower, upper, 65)
-        quad = (1.0 + (1.0 - xs) / b) * (1.0 - xs / b)
-        worst = float(np.min(quad))
+        # quadratic d-correction bounded by half the linear floor; worst is the
+        # least value of (b + 1 - x)(b - x)/b^2 on [lower, upper]
+        x = min(max(b + 0.5, idx.lower), upper)  # the vertex, clipped
+        worst = (1.0 + (1.0 - x) / b) * (1.0 - x / b)
         d_cap = math.inf
         if upper > 1.0 + b:
             d_cap = 2.0 * b**2 / (N * (upper - 1.0 - b))

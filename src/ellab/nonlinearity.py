@@ -12,6 +12,9 @@ and on two critical exponents of the synthetic dimension N,
     p_sobolev(N) = (N+2)/(N-2)   for N > 2, infinite on [1,2]
     p(N)         = (N+3)/(N-1)   for N > 1, infinite at N = 1.
 
+Every index is exact, computed in `math` from the monomial sum: a closed
+form or, for some second indices of power sums, one bisection.
+
 Everything here is pure and immutable; specs are safe to share across sweep
 workers.
 """
@@ -25,12 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NonPositiveArgument, RhoUndefined, SignChange, UnsupportedTheorem
-
-# Sampling grid for the second index of a power sum with several exponents:
-# log-spaced on [1e-8, 1e8], refined locally around the smallest sample.
-GRID_LO = 1e-8
-GRID_HI = 1e8
-GRID_POINTS = 4096
 
 RATIO_CUTOFF = 1e-12  # |f| below this times the local scale: ratio undefined
 
@@ -172,12 +169,7 @@ def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Structural indices of a term, with per-index finiteness flags.
-
-    `method` is "analytic" when the values are exact closed forms and
-    "sampled" when the second index is a grid infimum; certificates built on
-    sampled indices inherit the tag.
-    """
+    """Structural indices of a term, each exact, with per-index finiteness flags."""
 
     lower: float
     upper: float
@@ -185,7 +177,6 @@ class IndexReport:
     lower_finite: bool
     upper_finite: bool
     second_finite: bool
-    method: str
 
     def as_dict(self) -> dict:
         return {
@@ -195,45 +186,56 @@ class IndexReport:
             "lower_finite": self.lower_finite,
             "upper_finite": self.upper_finite,
             "second_finite": self.second_finite,
-            "method": self.method,
         }
 
 
-def _refine_minimum(fn, t0: float, factor: float, rounds: int) -> float:
-    """Local log-scale refinement of a sampled minimum (bisection-style)."""
-    lo, hi = t0 / factor, t0 * factor
-    best_v = float(fn(t0)[0])
-    for _ in range(rounds):
-        ts = np.geomspace(lo, hi, 33)
-        vs = fn(ts)
-        i = int(np.argmin(vs))
-        if vs[i] < best_v:
-            best_v = float(vs[i])
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    return best_v
+def _second_index(terms, lo: float, hi: float) -> float:
+    """inf of t^2 f''/f for a sum of one sign with exponents from lo to hi.
 
-
-def _sampled_second(spec: NonlinearitySpec) -> float:
-    """inf of t^2 f''/f over the sampling grid, refined around its minimum.
-
-    Nodes where a monomial under- or overflows fail `ratio_mask`; if none is
-    left, the termwise floor min a(a - 1) bounds the weighted mean below.
+    t^2 f''/f is the mean of a(a - 1) under the weights k t^a.  In x = ln t
+    its slope has the sign of sum_{i<j} k_i k_j (a_i - a_j)^2 (a_i + a_j - 1)
+    e^{(a_i + a_j) x}, whose coefficients change sign at most once, where the
+    pair sum passes 1.  By Laguerre's extension of Descartes' rule of signs
+    to exponential sums the mean falls, then rises: its infimum is lo(lo - 1)
+    with no negative coefficient, hi(hi - 1) with no positive one, and
+    otherwise the mean at the zero of the slope, found by bisection in x.
     """
-    grid = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
+    logs = [(math.log(abs(k)), a) for k, a in terms]
+    pairs, signs = [], []  # (log |coefficient|, pair sum) and sign per pair
+    for i, (lk, a) in enumerate(logs):
+        for lk2, b in logs[i + 1:]:
+            c = math.fsum((a, b, -1.0))  # exact in sign
+            if a != b and c != 0:
+                pairs.append((lk + lk2 + 2 * math.log(abs(a - b)) + math.log(abs(c)), a + b))
+                signs.append(math.copysign(1.0, c))
+    if -1.0 not in signs:
+        return lo * (lo - 1)
+    if 1.0 not in signs:
+        return hi * (hi - 1)
 
-    def ratio2(ts):
-        ts = np.atleast_1d(ts)
-        ff, _, d2 = evaluate_many(spec, ts)
-        return ts**2 * d2 / ff
+    def scaled(x, items):  # e^(l + s x) per (l, s) over the largest, no overflow
+        es = [l + s * x for l, s in items]
+        top = max(es)
+        return [math.exp(e - top) for e in es]
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, _, d2f = evaluate_many(spec, grid)
-        ok = ratio_mask(spec, grid, f)
-        if not np.any(ok):
-            return min(a * (a - 1) for _k, a in spec.family.terms)
-        t = grid[ok]
-        r2 = t * t * d2f[ok] / f[ok]
-        return _refine_minimum(ratio2, float(t[np.argmin(r2)]), 4.0, 6)
+    def slope(x):
+        return sum(sg * w for sg, w in zip(signs, scaled(x, pairs)))
+
+    def mean(x):
+        ws = scaled(x, logs)
+        return sum(w * a * (a - 1) for w, (_lk, a) in zip(ws, logs)) / sum(ws)
+
+    left, right = -1.0, 1.0  # the slope is < 0 as x -> -inf and > 0 as x -> inf
+    while slope(left) >= 0:
+        left *= 2
+    while slope(right) <= 0:
+        right *= 2
+    while left < (mid := 0.5 * (left + right)) < right:
+        s = slope(mid)
+        if s == 0:
+            return mean(mid)
+        left, right = (left, mid) if s > 0 else (mid, right)
+    return mean(left)
 
 
 def compute_indices(spec: NonlinearitySpec) -> IndexReport:
@@ -241,7 +243,7 @@ def compute_indices(spec: NonlinearitySpec) -> IndexReport:
 
     Closed forms for a monomial sum of one sign and one exponent or of mixed
     signs.  For one sign and several exponents, lower and upper are the
-    extreme exponents and the second index is sampled.
+    extreme exponents and the second index comes from `_second_index`.
     """
     signs = {k > 0 for k, _a in spec.family.terms}
     if not signs:
@@ -252,17 +254,14 @@ def compute_indices(spec: NonlinearitySpec) -> IndexReport:
         # has a positive root and all three ratios are unbounded near it
         if spec.positive:
             raise SignChange("f has a positive root although declared positive")
-        return IndexReport(-math.inf, math.inf, -math.inf,
-                           False, False, False, "analytic")
+        return IndexReport(-math.inf, math.inf, -math.inf, False, False, False)
     exponents = [a for _k, a in spec.family.terms]
     lo, hi = min(exponents), max(exponents)
     if lo == hi:
-        return IndexReport(lo, hi, lo * (lo - 1), True, True, True, "analytic")
-    # t f'/f is a weighted mean of the exponents, monotone from min to max;
-    # the second ratio is a weighted mean of a_i(a_i - 1) whose infimum is
-    # located by sampling between the endpoint limits.
-    second = min(_sampled_second(spec), lo * (lo - 1), hi * (hi - 1))
-    return IndexReport(lo, hi, second, True, True, True, "sampled")
+        return IndexReport(lo, hi, lo * (lo - 1), True, True, True)
+    # t f'/f is a weighted mean of the exponents, monotone from min to max
+    return IndexReport(lo, hi, _second_index(spec.family.terms, lo, hi),
+                       True, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +332,10 @@ class ConditionReport:
     theorem: str
     satisfied: bool
     checks: dict
-    method: str
 
     def as_dict(self) -> dict:
         return {"theorem": self.theorem, "satisfied": self.satisfied,
-                "method": self.method, "checks": dict(self.checks)}
+                "checks": dict(self.checks)}
 
 
 THEOREMS = ("1.3", "1.5", "1.7", "1.8", "1.9", "8")
@@ -396,14 +394,14 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
     if t == "8":
         ok = isinstance(spec.family, Lichnerowicz)
         checks["lichnerowicz_family"] = ok
-        return ConditionReport(t, ok, checks, idx.method)
+        return ConditionReport(t, ok, checks)
 
     if t in ("1.3", "1.9"):
         checks["f_positive"] = spec.positive
         checks["upper_below_p"] = idx.upper_finite and idx.upper < p
         checks["second_finite"] = idx.second_finite
         sat = all(checks.values())
-        return ConditionReport(t, sat, checks, idx.method)
+        return ConditionReport(t, sat, checks)
 
     if t == "1.5":
         if alpha is None:
@@ -411,7 +409,7 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
         checks["alpha_in_range"] = 1 < alpha < p
         checks["power_ratio_nonincreasing"] = power_ratio_nonincreasing(spec, alpha)
         sat = all(checks.values())
-        return ConditionReport(t, sat, checks, idx.method)
+        return ConditionReport(t, sat, checks)
 
     # 1.7 / 1.8 share the core condition block
     checks["f_positive"] = spec.positive
@@ -423,7 +421,7 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
         checks["lower_index_ok"] = idx.lower > 2
     if t == "1.7":
         sat = all(checks.values())
-        return ConditionReport(t, sat, checks, idx.method)
+        return ConditionReport(t, sat, checks)
 
     checks["vanishing_slope_at_zero"] = vanishing_slope_at_zero(spec)
     if beta is None:
@@ -434,7 +432,7 @@ def check_hypotheses(spec: NonlinearitySpec, N: float, theorem: str,
         r = rho(N, idx.upper) if idx.upper_finite else math.inf
         checks["inverse_bounded"] = inverse_bounded(spec, beta) and beta > r
     sat = all(checks.values())
-    return ConditionReport(t, sat, checks, idx.method)
+    return ConditionReport(t, sat, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,9 @@ def test_indices_command(tmp_path):
     assert data["hypotheses"]["1.7"]["satisfied"]
 
 
-def test_sampled_second_index_is_a_number(tmp_path):
-    # for t^2 + t^10 the sampled minimum sits at the grid's first node,
-    # where refinement finds no lower value
+def test_second_index_is_a_limit_at_zero(tmp_path):
+    # for t^2 + t^10 every pair sum of exponents is above 1, so t^2 f''/f
+    # rises from its limit 2 * 1 at t -> 0
     out = tmp_path / "idx.json"
     assert run(["indices", "--f", "powersum:1,2;1,10", "--N", "5",
                 "--out", str(out)]) == 0
@@ -95,13 +95,15 @@ def test_sampled_second_index_is_a_number(tmp_path):
 @pytest.mark.parametrize("f,lower,upper", [("powersum:1,45;1,50", 45.0, 50.0),
                                            ("powersum:1,2;1,45", 2.0, 45.0)])
 def test_indices_of_high_exponents(tmp_path, f, lower, upper):
-    # t^45 under- and overflows on the sampling grid; f stays positive, and
-    # the RuntimeWarning filter fails the test on any overflow warning
+    # t^45 under- and overflows for t far from 1; f stays positive, and
+    # the RuntimeWarning filter fails the test on any overflow warning.
+    # Every pair sum of exponents is above 1, so the second index is the
+    # limit lower * (lower - 1) at t -> 0, exactly
     out = tmp_path / "idx.json"
     assert run(["indices", "--f", f, "--N", "5", "--out", str(out)]) == 0
     idx = json.loads(out.read_text())["indices"]
     assert (idx["lower_index"], idx["upper_index"]) == (lower, upper)
-    assert idx["second_order_index"] == pytest.approx(lower * (lower - 1), rel=1e-12)
+    assert idx["second_order_index"] == lower * (lower - 1)
 
 
 def test_appendix_command(tmp_path):

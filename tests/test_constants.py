@@ -209,6 +209,25 @@ def test_window_interval_matches_worked_example():
     assert ct.Q_value(2.0, cert.beta, cert.d, 5.0) > 0
 
 
+@pytest.mark.parametrize("N,terms,case", [(2.5, [(1, 2.1), (1, 3.8)], 2),
+                                          (2.0, [(1, 2.1), (1, 6.0)], 1)])
+def test_window_second_worst_is_the_parabola_minimum(N, terms, case):
+    # below dimension three the y-floor takes d * worst, with worst the least
+    # value of (b + 1 - x)(b - x)/b^2 on [lower, upper]; here its vertex
+    # b + 1/2 lies inside
+    idx = nl.compute_indices(nl.power_sum(terms))
+    cert = ct.synthesize(N, idx, "1.7")
+    assert cert.recipe == f"window-second-case{case}"
+    b = cert.beta
+    assert idx.lower < b + 0.5 < idx.upper
+    x = np.linspace(idx.lower, idx.upper, 2**20 + 1)
+    scanned = np.min((b + 1 - x) * (b - x)) / b**2
+    # d = ylin / (2 (1 + |worst|)) is below its cap for these inputs, and
+    # Y = ylin + d * worst, so |worst| = Y / d - 2
+    worst = -(cert.floors["Y0"] / ct.FLOOR_HEADROOM / cert.d - 2.0)
+    assert worst == pytest.approx(scanned, rel=1e-10)
+
+
 def test_subcritical_monotone_feasibility():
     # shrinking l and d from an accepted pair keeps the x^2 and y^2 floors
     idx = nl.compute_indices(nl.power(2.0))

@@ -76,6 +76,34 @@ def fd_derivatives(spec, t, rel=1e-3):
     return (4 * d1b - d1a) / 3, (4 * d2b - d2a) / 3
 
 
+def mp_second_index(mp, terms):
+    """inf of t^2 f''/f by mpmath at 60 digits.
+
+    t^2 f''/f is the mean of a(a - 1) under the weights k t^a.  Scan it on
+    4001 nodes of x = ln t in [-20, 20].  At a least end node, return its
+    limit a(a - 1) of the least or greatest exponent; at an inner one, scan
+    again between the node's neighbours on 41 nodes, 24 times.
+    """
+    with mp.workdps(60):
+        ks = [mp.mpf(k) for k, _a in terms]
+        exps = [mp.mpf(a) for _k, a in terms]
+
+        def mean(x):
+            ws = [k * mp.exp(a * x) for k, a in zip(ks, exps)]
+            return sum(w * a * (a - 1) for w, a in zip(ws, exps)) / sum(ws)
+
+        lo, hi, n = mp.mpf(-20), mp.mpf(20), 4001
+        for scan in range(25):
+            xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+            vals = [mean(x) for x in xs]
+            i = min(range(n), key=vals.__getitem__)
+            if scan == 0 and i in (0, n - 1):
+                a = min(exps) if i == 0 else max(exps)
+                return float(a * (a - 1))
+            lo, hi, n = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], 41
+        return float(vals[i])
+
+
 # --- evaluation ------------------------------------------------------------
 
 def test_evaluate_power_law():
@@ -142,7 +170,6 @@ def test_analytic_derivatives_match_finite_differences(spec):
 def test_indices_power_law_exact():
     rep = nl.compute_indices(nl.power(2.0))
     assert (rep.lower, rep.upper, rep.second) == (2.0, 2.0, 2.0)
-    assert rep.method == "analytic"
 
 
 def test_indices_power_sum_two_terms():
@@ -187,16 +214,46 @@ def test_index_bounds_hold_at_random_points():
         t = rng.uniform(1e-3, 1e3, 10_000)
         f, df, _ = nl.evaluate_many(spec, t)
         r1 = t * df / f
-        slack = 0.0 if rep.method == "analytic" else 1e-9
-        assert np.all(r1 >= rep.lower - slack - 1e-9)
-        assert np.all(r1 <= rep.upper + slack + 1e-9)
+        assert np.all(r1 >= rep.lower - 1e-9)
+        assert np.all(r1 <= rep.upper + 1e-9)
 
 
-def test_second_index_when_every_sample_overflows():
-    # t^-1e6 and t^1e6 under- or overflow at every grid node, so no ratio is
-    # sampled; min a(a - 1) over the terms still bounds the weighted mean
-    rep = nl.compute_indices(nl.power_sum([(1, -1e6), (1, 0.5), (1, 1e6)]))
-    assert (rep.lower, rep.upper, rep.second) == (-1e6, 1e6, -0.25)
+@pytest.mark.parametrize("terms,want,ulps", [
+    # pair sums 0.7, 2.8 and 2.9 straddle 1: the infimum sits at x = -3.7267
+    ([(1, 0.3), (5, 0.4), (1, 2.5)], -0.23300358044522923, 2),
+    ([(2, 0.1), (1, 0.2), (0.3, 3.0)], -0.10915073972412194, 2),
+    # every pair sum is above 1: the limit 45 * 44 at t -> 0
+    ([(1, 45), (1, 50)], 1980.0, 0),
+    # every pair sum is below 1: the limit at t -> inf
+    ([(1, 0.1), (3, 0.4)], -0.24, 0),
+])
+def test_second_index_matches_mpmath(terms, want, ulps):
+    mp = pytest.importorskip("mpmath")
+    assert mp_second_index(mp, terms) == want
+    got = nl.compute_indices(nl.power_sum(terms)).second
+    assert abs(got - want) <= ulps * math.ulp(want)
+
+
+def test_second_index_of_huge_opposite_exponents():
+    mp = pytest.importorskip("mpmath")
+    # t^-1e6 and t^1e6 under- or overflow at almost every t; the infimum of
+    # the weighted mean is about 6.67e11, at t = e^(3.5e-12), far above the
+    # termwise floor min a(a - 1) = -0.25
+    terms = [(1, -1e6), (1, 0.5), (1, 1e6)]
+    rep = nl.compute_indices(nl.power_sum(terms))
+    assert (rep.lower, rep.upper) == (-1e6, 1e6)
+    assert rep.second == pytest.approx(mp_second_index(mp, terms), rel=1e-9)
+
+
+def test_second_index_samples_no_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the second index sampled an array")
+
+    monkeypatch.setattr(nl, "evaluate_many", refuse)
+    monkeypatch.setattr(np, "geomspace", refuse)
+    for terms in ([(1, 0.3), (5, 0.4), (1, 2.5)], [(1, 2), (1, 3)],
+                  [(1, 0.1), (3, 0.4)]):
+        assert math.isfinite(nl.compute_indices(nl.power_sum(terms)).second)
 
 
 def test_indices_sign_changing_lichnerowicz():
