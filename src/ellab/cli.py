@@ -23,16 +23,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import constants as ct
-from . import modelspace as ms
 from . import nonlinearity as nl
 from . import reporting
 from .errors import ConfigError, InvalidAlpha, LabError
 
-# acceptance, pdelab and relations are imported inside the commands that use
-# them, so `indices` and `certify` load neither the solver nor the battery.
+# numpy and the modules that need it are imported inside the commands that use
+# them: `indices` runs on `math` alone, and `certify` loads no solver or space.
 
 # defaults of the flags that have one, filled in for the commands that read
 # them after the --config merge, so a config file can set them and the config
@@ -76,6 +72,8 @@ def parse_nonlinearity(text: str) -> nl.NonlinearitySpec:
 # space (the curvature bound, the coarse branch) serve repeated commands
 @functools.lru_cache(maxsize=32)
 def parse_space(text: str) -> ms.WeightedSpace:
+    from . import modelspace as ms
+
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     try:
@@ -112,6 +110,8 @@ def _dimension(args, space: ms.WeightedSpace) -> float:
 
 def _certificate(args, spec: nl.NonlinearitySpec, N: float) -> ct.Certificate:
     """The --theorem certificate, synthesized and checked against --f."""
+    from . import constants as ct
+
     theorem = nl.normalize_theorem(args.theorem)
     for flag, value, readers in (("--alpha", args.alpha, ("1.5", "1.9")),
                                  ("--delta", args.delta, ("8",))):
@@ -192,6 +192,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import modelspace as ms
     from . import pdelab as pde
 
     spec = parse_nonlinearity(args.f)
@@ -213,6 +214,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_appendix(args) -> int:
+    import numpy as np
+    from . import modelspace as ms
+
     try:
         asp = ms.appendix_space(args.N, args.alpha, args.K)
     except (ValueError, InvalidAlpha) as exc:
@@ -246,6 +250,7 @@ def cmd_appendix(args) -> int:
 
 
 def cmd_implications(args) -> int:
+    from . import modelspace as ms
     from . import relations as rel
 
     spec = parse_nonlinearity(args.f)

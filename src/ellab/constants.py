@@ -663,6 +663,7 @@ def synthesize(N: float, indices: nl.IndexReport, theorem: str, *,
 # grid certification
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite slot is refused
 def amgm_slots(cert: Certificate, spec: nl.NonlinearitySpec, u: np.ndarray):
     """(U, W, cross, y, mask) of an "amgm" certificate on a u-grid.
 
@@ -698,6 +699,9 @@ def amgm_slots(cert: Certificate, spec: nl.NonlinearitySpec, u: np.ndarray):
     if cert.cross_weight != "one":
         denom = np.maximum(np.where(mask, np.abs(y), 1.0), 1e-300)
         cross = np.where(mask, cross / denom, cross)
+    bad = np.flatnonzero(~(np.isfinite(U) & np.isfinite(W) & np.isfinite(cross)))
+    if bad.size:
+        raise HypothesisViolation(f"AM-GM slots not finite at u = {u[bad[0]]:.6g}")
     return U, W, cross, y, mask
 
 
@@ -730,13 +734,18 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float) -> Certifica
     else:
         eps = np.geomspace(DEFAULT_EPS_RANGE[0], DEFAULT_EPS_RANGE[1], EPS_POINTS)
         uu, ee = np.meshgrid(u, eps, indexing="ij")
-        f, df, d2f = nl.evaluate_many(spec, u)
-        if np.any(f <= 0):
-            raise HypothesisViolation("window recipes need f > 0 on the grid")
-        r1 = (u * df / f)[:, None]
-        r2 = (u * u * d2f / f)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, df, d2f = nl.evaluate_many(spec, u)
+            if np.any(f <= 0):
+                raise HypothesisViolation("window recipes need f > 0 on the grid")
+            r1, r2 = u * df / f, u * u * d2f / f
+        bad = np.flatnonzero(~(np.isfinite(r1) & np.isfinite(r2)))
+        if bad.size:
+            raise HypothesisViolation(
+                f"u f'/f or u^2 f''/f is not finite at u = {u[bad[0]]:.6g}")
         coeff = coeffs_first_kind if cert.kind == "first" else coeffs_second_kind
-        A, B, Cc = coeff(N, cert.beta, cert.gamma, cert.d, uu, ee, r1, r2)
+        A, B, Cc = coeff(N, cert.beta, cert.gamma, cert.d, uu, ee,
+                         r1[:, None], r2[:, None])
         A = A * np.ones_like(uu)
         names = ("U0", "V0", "W0") if cert.kind == "first" else ("X0", "Y0", "Z0")
         fl = cert.floors

@@ -13,7 +13,8 @@ and on two critical exponents of the synthetic dimension N,
     p(N)         = (N+3)/(N-1)   for N > 1, infinite at N = 1.
 
 Every index is exact, computed in `math` from the monomial sum: a closed
-form or, for some second indices of power sums, one bisection.
+form or, for some second indices of power sums, one bisection.  Only the
+functions that take arrays, `evaluate_many` and `ratio_mask`, import numpy.
 
 Everything here is pure and immutable; specs are safe to share across sweep
 workers.
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import NonPositiveArgument, RhoUndefined, SignChange, UnsupportedTheorem
 
@@ -129,6 +128,7 @@ def evaluate_many(spec: NonlinearitySpec, t: np.ndarray, order: int = 2):
     A lower `order` skips the higher derivatives; the arrays it returns are
     bit for bit the leading ones of the full call.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise NonPositiveArgument("nonlinearity sampled at t <= 0")
@@ -159,6 +159,7 @@ def ratio_mask(spec: NonlinearitySpec, t: np.ndarray, f: np.ndarray) -> np.ndarr
     may under- or overflow; ratios are only formed where |f| exceeds 1e-12 of
     the local term scale sum |k| t^a.
     """
+    import numpy as np
     scale = sum(abs(k) * t**a for k, a in spec.family.terms)
     return np.abs(f) > RATIO_CUTOFF * np.maximum(scale, 1e-300)
 

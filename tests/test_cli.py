@@ -189,6 +189,23 @@ def test_certify_command_exit_codes(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--N", "2", "--theorem", "1.9"],
+     "u f'/f or u^2 f''/f is not finite at u = 1e-06"),
+    (["--N", "3", "--theorem", "1.5", "--alpha", "1.5"],
+     "AM-GM slots not finite at u = 1e-06"),
+])
+def test_certify_refuses_overflowing_ratios(tmp_path, capsys, argv, message):
+    # t^(+-1e6) overflows on the grid, so the ratios and the slots built
+    # from them are NaN; a NaN margin must not certify, and no
+    # RuntimeWarning may escape (pytest turns one into an error)
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--f", "powersum:1,-1e6;1,0.5;1,1e6", *argv,
+                "--out", str(out)]) == 1
+    assert f"check failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- the command table ----------------------------------------------------------
 
 README_OPS = {
@@ -582,34 +599,76 @@ def _run_probe(tmp_path, probe):
 
 _CHEAP_PROBE = """
 import sys
+from pathlib import Path
+from ellab import cli, reporting
+
+ellab = {m for m in sys.modules if m.split(".")[0] == "ellab"}
+assert ellab == {"ellab", "ellab.cli", "ellab.errors", "ellab.nonlinearity",
+                 "ellab.reporting"}, sorted(ellab)
+assert "numpy" not in sys.modules
+for f in ("power:2", "powersum:1,2;1,3", "lich:1,1,3,0,0.5"):
+    for flags in ([], ["--N", "4"], ["--N", "4", "--alpha", "2.5"]):
+        assert cli.main(["indices", "--f", f, *flags, "--out", "i.json"]) == 0
+# without numpy the emitter writes the goldens' bytes
+for name, f, N in (("indices_N5_powersum23.json", "powersum:1,2;1,3", "5"),
+                   ("indices_N4_allen_cahn.json", "lich:1,1,3,0,0.5", "4")):
+    assert cli.main(["indices", "--f", f, "--N", N, "--out", name]) == 0
+    assert Path(name).read_bytes() == (Path(GOLDEN) / name).read_bytes(), name
+assert "numpy" not in sys.modules
+sample = {"x": [0.1, -0.0, float("nan"), float("-inf"), 2**70, True, None],
+          "s": "a\\n", "e": {}}
+plain = reporting.dumps(sample)
+
+for argv in (["--f", "power:2", "--N", "4", "--theorem", "1.3"],
+             ["--f", "power:2", "--N", "5", "--theorem", "1.7"],
+             ["--f", "power:2.5", "--N", "4", "--theorem", "1.9"],
+             ["--f", "lich:1,1,3,0,0.5", "--N", "4", "--theorem", "8"],
+             ["--f", "lich:1,1,3,0,0.5", "--N", "2.5", "--theorem", "1.5",
+              "--alpha", "2.8"]):
+    assert cli.main(["certify", *argv, "--out", "c.json"]) == 0, argv
+assert "numpy" in sys.modules and reporting.dumps(sample) == plain
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, sorted(loaded)[:3]
+unused = {"ellab.modelspace", "ellab.pdelab", "ellab.relations",
+          "ellab.acceptance"} & set(sys.modules)
+assert not unused, sorted(unused)
+"""
+
+_APPENDIX_PROBE = """
+import sys
+from ellab import cli
+
+assert cli.main(["appendix", "--N", "5", "--alpha", "2", "--K", "1",
+                 "--out", "a.json"]) == 0
+unused = {"ellab.constants", "ellab.pdelab"} & set(sys.modules)
+assert not unused, sorted(unused)
+"""
+
+
+def test_cheap_commands_load_only_what_they_run(tmp_path):
+    # `import ellab.cli` loads no numpy and `indices` runs on math alone;
+    # `certify` loads no space, solver or battery, `appendix` no constants
+    _run_probe(tmp_path, f"GOLDEN = {str(GOLDEN)!r}\n" + _CHEAP_PROBE)
+    _run_probe(tmp_path, _APPENDIX_PROBE)
+
+
+_TABLES_PROBE = """
+import sys
 from ellab import cli
 
 for argv in (["indices", "--f", "power:2", "--N", "5", "--out", "i.json"],
              ["certify", "--f", "power:2", "--N", "4", "--theorem", "1.3",
-              "--out", "c.json"]):
+              "--out", "c.json"],
+             ["appendix", "--N", "5", "--alpha", "2", "--K", "1",
+              "--out", "a.json"]):
     assert cli.main(argv) == 0, argv
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-assert not loaded, sorted(loaded)[:3]
-solver = {"ellab.acceptance", "ellab.pdelab", "ellab.relations"} & set(sys.modules)
-assert not solver, sorted(solver)
-"""
-
-
-def test_cheap_commands_load_no_scipy(tmp_path):
-    _run_probe(tmp_path, _CHEAP_PROBE)
-
-
-_TABLES_PROBE = """
-from ellab import cli, reporting
-
-assert cli.main(["indices", "--f", "power:2", "--N", "5", "--out", "i.json"]) == 0
-assert reporting._kernel_tables.cache_info().currsize == 0
+assert "ellab._csvtables" not in sys.modules
 """
 
 
 def test_cold_commands_build_no_csv_tables(tmp_path):
-    # every command imports reporting; the CSV kernel's tables are built on
-    # the first CSV written
+    # the CSV writer's module builds its tables when it loads, on the
+    # first CSV written
     _run_probe(tmp_path, _TABLES_PROBE)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ellab import cli, reporting
+from ellab import _csvtables, cli, reporting
 from ellab import modelspace as ms
 from ellab import pdelab as pde
 
@@ -38,9 +38,32 @@ def test_dumps_handles_numpy_and_special_values():
     assert "0.1" in round_trip
 
 
+def test_dumps_prints_numpy_values_as_their_python_equals():
+    # the emitter takes numpy's types once per call, from the loaded module
+    nan, inf = math.nan, math.inf
+    cases = [
+        (np.float64(0.1), 0.1), (np.float64(-0.0), -0.0),
+        (np.float64(nan), nan), (np.float64(-inf), -inf),
+        (np.float32(0.1), float(np.float32(0.1))), (np.float32(-0.0), -0.0),
+        (np.float32(inf), inf), (np.float32(nan), nan),
+        (np.int64(-2**62), -2**62), (np.int64(0), 0),
+        (np.bool_(True), True), (np.bool_(False), False),
+        (np.array(-0.0), -0.0), (np.array(7), 7), (np.array(nan), nan),
+        (np.array([[1.0, -0.0, nan], [inf, -inf, 2.5]]),
+         [[1.0, -0.0, nan], [inf, -inf, 2.5]]),
+        (np.array([[True], [False]]), [[True], [False]]),
+    ]
+    for value, plain in cases:
+        assert reporting.dumps({"v": value}) == reporting.dumps({"v": plain}), value
+    assert reporting.dumps([v for v, _ in cases]) == reporting.dumps(
+        [p for _, p in cases])
+    assert reporting.dumps(np.float32(-0.0)) == "-0.0\n"
+
+
 def test_dumps_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        reporting.dumps({"x": object()})
+    for value in (object(), {1}, 1j, np.complex128(1j), np.datetime64(0, "s")):
+        with pytest.raises(TypeError):
+            reporting.dumps({"x": value})
 
 
 def per_char_escape(s):
@@ -107,7 +130,7 @@ def per_cell_csv(header, cols):
 
 def test_write_csv_matches_the_per_cell_format(tmp_path):
     # the block writer must give the bytes of formatting cell by cell
-    rows = 3 * reporting.CSV_BLOCK_CELLS // 4 + 3  # full blocks and a partial one
+    rows = 3 * _csvtables.CSV_BLOCK_CELLS // 4 + 3  # full blocks and a partial one
     floats = np.resize([1.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 0.1, 1 / 3],
                        rows)
     cols = [np.arange(rows), floats, np.arange(rows) % 3 == 0,
@@ -124,7 +147,7 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
 
 # the tables below hold 9 distinct columns, so a block has
 # CSV_BLOCK_CELLS // 9 rows
-BLOCK_ROWS = reporting.CSV_BLOCK_CELLS // 9
+BLOCK_ROWS = _csvtables.CSV_BLOCK_CELLS // 9
 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 1027, BLOCK_ROWS - 1,
@@ -184,8 +207,8 @@ def test_write_csv_tables_refuse_unequal_rows(tmp_path):
 def kernel_text(values):
     """What the vectorized kernel prints for each value."""
     values = np.asarray(values, dtype=np.float64)
-    cells = np.empty((len(values), reporting._SLOTS), np.uint8)
-    reporting._format_floats(values, cells)
+    cells = np.empty((len(values), _csvtables._SLOTS), np.uint8)
+    _csvtables._format_floats(values, cells)
     cells[:, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\0").decode().splitlines()
 
@@ -231,8 +254,8 @@ def test_kernel_formats_most_cells_itself(monkeypatch):
     # the per-cell fallback takes only the cells the kernel cannot prove
     # exact: significands on a half-integer, about 1 in 400 here
     counted = []
-    text_cells = reporting._text_cells
-    monkeypatch.setattr(reporting, "_text_cells",
+    text_cells = _csvtables._text_cells
+    monkeypatch.setattr(_csvtables, "_text_cells",
                         lambda strings, width: counted.append(len(strings))
                         or text_cells(strings, width))
     values = np.random.default_rng(7).standard_normal(20000)
@@ -263,7 +286,7 @@ def test_solve_export_matches_the_per_cell_format(tmp_path, monkeypatch,
     # the export op at m = 4096 on both spaces; without an extended-precision
     # longdouble every cell takes the per-cell format, with the same bytes
     if not extended:
-        monkeypatch.setattr(reporting, "_extended_precision", lambda: False)
+        monkeypatch.setattr(_csvtables, "_extended_precision", lambda: False)
     out = tmp_path / "profile.csv"
     assert cli.main(["solve", "--f", "power:2", "--space", space, "--R", repr(R),
                      "--bv", repr(bv), "--grid", "4096", "--emit-plot-data",
