@@ -18,7 +18,7 @@ between the x^2 and y^2 slots and, for the eps-regularized recipes, up to a
 bounded dip on the small-solution set {u < L eps}.
 
 A Certificate freezes one such tuple together with its floors and the exact
-pointwise claims that `certify` re-checks on a (u, eps) grid:
+pointwise claims that `certify` re-checks on a u-axis, exactly in eps:
 
   * x^2 slot:  U >= U0 everywhere (U0 > 0);
   * y^2 slot:  W >= W0, with W >= W0 - L on {u < L eps} when regularized;
@@ -63,10 +63,10 @@ FLOOR_HEADROOM = 0.5          # floors are this fraction of the algebraic bound
 MARGIN_TOL = 1e-10            # a certification margin below this is a failure
 BISECT_REL = 1e-10            # relative width at which parameter searches stop
 
-DEFAULT_U_RANGE = (1e-6, 1e6)    # the (u, eps) grid `certify` checks on
-DEFAULT_EPS_RANGE = (1e-6, 1.0)
+DEFAULT_U_RANGE = (1e-6, 1e6)    # the stated domain `certify` checks, on
+DEFAULT_EPS_RANGE = (1e-6, 1.0)  # U_POINTS u values, exactly in eps
 U_POINTS = 241
-EPS_POINTS = 41
+U_AXIS = np.geomspace(DEFAULT_U_RANGE[0], DEFAULT_U_RANGE[1], U_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +335,8 @@ def _synth_weak(N: float, idx: nl.IndexReport, alpha: Optional[float],
         indices=idx.as_dict(),
     )
     # cross floor: half the worst exchanged coefficient per unit |y| on the
-    # default u-range
-    u = np.geomspace(DEFAULT_U_RANGE[0], DEFAULT_U_RANGE[1], 257)
-    _, _, cross, _, mask = amgm_slots(cert, spec, u)
+    # u-axis that `certify` checks
+    _, _, cross, _, mask = amgm_slots(cert, spec, U_AXIS)
     floor0 = float(np.min(np.where(mask, cross, np.inf)))
     if floor0 <= 0:
         raise Infeasible("cross coefficient has no positive floor")
@@ -660,7 +659,41 @@ def synthesize(N: float, indices: nl.IndexReport, theorem: str, *,
 
 
 # ---------------------------------------------------------------------------
-# grid certification
+# certification
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # each branch is NaN off its side
+def _largest_real_root(p, q):
+    """Largest real root of s^3 + p s + q = 0 (Cardano, or trigonometric)."""
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    cardano = np.cbrt(-q / 2.0 + np.sqrt(disc)) + np.cbrt(-q / 2.0 - np.sqrt(disc))
+    r = np.sqrt(-p / 3.0)
+    trig = 2.0 * r * np.cos(np.arccos(np.clip(-q / (2.0 * r**3), -1.0, 1.0)) / 3.0)
+    return np.where(disc < 0, trig, cardano)
+
+
+def _eps_candidates(cert: Certificate, u, r1, r2) -> np.ndarray:
+    """Per u (columns), the eps at which each window margin is least.
+
+    With gamma = 1 a margin depends on eps only through s = u/(u + eps) and
+    the test u < chi_L eps.  U, W, Z are monotone in s < 1 and X constant:
+    the eps ends and the edge u/chi_L with the float below it cover them.
+    V adds its vertex in s, Y the largest root of s^3 dY/ds (no s^2 term,
+    so the only sign change from - to + on s > 0).
+    """
+    lo, hi = DEFAULT_EPS_RANGE
+    N, beta, d = cert.N, cert.beta, cert.d
+    if cert.kind == "first":
+        s = 1.0 - beta / (2.0 * d * (1.0 / beta - 1.0))
+    else:
+        a = (4.0 / N) * (1.0 + beta) + 2.0 + beta
+        b = 2.0 * d * (r1 - 1.0) * (1.0 / beta**2 - 1.0 / beta)
+        c = 2.0 * d * (r2 + 2.0 - 2.0 * r1) / beta**2
+        s = _largest_real_root(-b / a, -c / a)
+    s = np.clip(s, u / (u + hi), u / (u + lo))
+    edge = u / cert.chi_L
+    return np.clip(np.broadcast_arrays(lo, hi, edge, np.nextafter(edge, 0.0),
+                                       u * (1.0 - s) / s), lo, hi)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite slot is refused
@@ -706,14 +739,14 @@ def amgm_slots(cert: Certificate, spec: nl.NonlinearitySpec, u: np.ndarray):
 
 
 def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float) -> Certificate:
-    """Re-check every floor of the certificate on the (u, eps) grid.
+    """Re-check every floor of the certificate on the u-axis, exactly in eps.
 
     Returns a copy with `verification` filled in; status flips to
     "infeasible" if any margin drops to the tolerance or below.
     """
     if N != cert.N:
         raise ValueError("certificate was synthesized for a different N")
-    u = np.geomspace(DEFAULT_U_RANGE[0], DEFAULT_U_RANGE[1], U_POINTS)
+    u = U_AXIS
     margins: dict[str, float] = {}
     worst_at: dict = {}
 
@@ -732,8 +765,6 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float) -> Certifica
             rel = np.where(mask, rel, cross)   # a root of f claims cross >= 0
         record("V0", rel, lambda i: {"u": float(u[i]), "y": float(y[i])})
     else:
-        eps = np.geomspace(DEFAULT_EPS_RANGE[0], DEFAULT_EPS_RANGE[1], EPS_POINTS)
-        uu, ee = np.meshgrid(u, eps, indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):
             f, df, d2f = nl.evaluate_many(spec, u)
             if np.any(f <= 0):
@@ -743,30 +774,27 @@ def certify(cert: Certificate, spec: nl.NonlinearitySpec, N: float) -> Certifica
         if bad.size:
             raise HypothesisViolation(
                 f"u f'/f or u^2 f''/f is not finite at u = {u[bad[0]]:.6g}")
+        eps = _eps_candidates(cert, u, r1, r2)
         coeff = coeffs_first_kind if cert.kind == "first" else coeffs_second_kind
-        A, B, Cc = coeff(N, cert.beta, cert.gamma, cert.d, uu, ee,
-                         r1[:, None], r2[:, None])
-        A = A * np.ones_like(uu)
+        A, B, Cc = coeff(N, cert.beta, cert.gamma, cert.d, u, eps, r1, r2)
+        small = u < cert.chi_L * eps
+        corr = np.where(small, cert.chi_L, 0.0)
+
+        def where(i):
+            return {"u": float(u[i % u.size]), "eps": float(eps.flat[i]),
+                    "small_set": bool(small.flat[i])}
+
         names = ("U0", "V0", "W0") if cert.kind == "first" else ("X0", "Y0", "Z0")
-        fl = cert.floors
-        small = uu < cert.chi_L * ee if cert.chi_L is not None else np.zeros_like(uu, bool)
-        corr = cert.chi_L if cert.chi_L is not None else 0.0
-
-        def where2(flat_i):
-            i, j = np.unravel_index(flat_i, uu.shape)
-            return {"u": float(uu[i, j]), "eps": float(ee[i, j])}
-
-        record(names[0], (A - fl[names[0]]).ravel(), where2)
-        record(names[1], (B - fl[names[1]] + np.where(small, corr, 0.0)).ravel(), where2)
-        record(names[2], (Cc - fl[names[2]] + np.where(small, corr, 0.0)).ravel(), where2)
+        for name, c, dip in zip(names, (A, B, Cc), (0.0, corr, corr)):
+            margin = np.broadcast_to(c - cert.floors[name] + dip, eps.shape)
+            record(name, margin.ravel(), where)
 
     worst_name = min(margins, key=margins.get)
     worst = margins[worst_name]
     ok = worst > MARGIN_TOL
     verification = {
         "u_range": list(DEFAULT_U_RANGE), "eps_range": list(DEFAULT_EPS_RANGE),
-        "u_points": U_POINTS, "eps_points": EPS_POINTS,
-        "margins": margins, "worst_margin": worst,
+        "u_points": U_POINTS, "margins": margins, "worst_margin": worst,
         "worst_floor": worst_name, "worst_at": worst_at[worst_name],
     }
     return replace(cert, status="certified" if ok else "infeasible",

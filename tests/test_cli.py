@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ellab import cli
+from ellab.constants import MARGIN_TOL
 from ellab.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -187,6 +188,16 @@ def test_certify_command_exit_codes(tmp_path):
     # supercritical request: a lab error, reported as check failure
     assert run(["certify", "--f", "power:4", "--N", "5", "--theorem", "1.3",
                 "--out", str(tmp_path / "x.json")]) == 1
+    # at 0.99999 of (1, p_S(5)) the exact W0 margin, on the big side of the
+    # small-set edge, is 4.9e-12: below the tolerance
+    top = tmp_path / "top.json"
+    assert run(["certify", "--f", "power:2.3333200000000005", "--N", "5",
+                "--theorem", "1.9", "--out", str(top)]) == 1
+    data = json.loads(top.read_text())
+    ver = data["verification"]
+    assert data["status"] == "infeasible" and ver["worst_floor"] == "W0"
+    assert 0 < ver["worst_margin"] < MARGIN_TOL
+    assert ver["worst_at"]["small_set"] is False
 
 
 @pytest.mark.parametrize("argv, message", [

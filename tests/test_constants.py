@@ -1,4 +1,4 @@
-"""Tests for coefficient formulas, recipes, and certificate grid checks."""
+"""Tests for coefficient formulas, recipes, and certificate checks."""
 
 import dataclasses
 import math
@@ -348,12 +348,107 @@ def test_synthesized_certificates_certify(N, theorem, spec, kw):
 @pytest.mark.parametrize("N", [3.0, 4.0, 5.0, 6.0, 8.0])
 def test_theorem_19_certifies_up_to_the_sobolev_exponent(N):
     # the estimate claims every alpha in (1, p_S(N)); the margins shrink
-    # towards the edge (3.5e-8 at N = 5 and 0.9999) but stay positive
+    # towards the edge (4.9e-10 at N = 5 and 0.9999, 1.05e-10 at N = 8) but
+    # stay positive
     for share in (0.99, 0.995, 0.999, 0.9999):
         spec = nl.power(1.0 + share * (nl.p_sobolev(N) - 1.0))
         cert = _certified(N, "1.9", spec)
         assert cert.status == "certified"
         assert cert.verification["worst_margin"] > 0
+    # from N = 4 on, the W0 margin shrinks like (p_S - alpha)^2 and drops
+    # below the tolerance in the top ~1e-5 of the interval; at N = 3 the X0
+    # margin (2.0e-6 at 0.99999) is the worst
+    top = _certified(N, "1.9", nl.power(1.0 + 0.99999 * (nl.p_sobolev(N) - 1.0)))
+    assert (top.status == "certified") == (N == 3.0)
+
+
+@pytest.mark.parametrize("N,theorem,alpha,floors,exact", [
+    (5.0, "1.7", 2.0, ("V0", "W0"), (0.0104314148, 0.0020094428)),
+    (5.0, "1.8", 2.0, ("V0", "W0"), (0.0094974880, 0.0017109517)),
+    (3.0, "1.7", 3.5, ("Y0", "Z0"), (0.0956015952, 0.0454340699)),
+])
+def test_window_margins_are_the_infima_over_the_domain(N, theorem, alpha,
+                                                       floors, exact):
+    # each infimum lies at the small-set edge u = chi_L eps, on the side
+    # where the chi_L correction is off, which a fixed eps grid never hits
+    cert = _certified(N, theorem, nl.power(alpha))
+    margins = cert.verification["margins"]
+    for name, value in zip(floors, exact):
+        assert margins[name] == pytest.approx(value, rel=1e-6)
+
+
+def test_largest_real_root_of_a_depressed_cubic():
+    # both branches: one real root (Cardano) and three (trigonometric)
+    rng = np.random.default_rng(7)
+    p, q = rng.uniform(-5.0, 5.0, (2, 400))
+    want = [max(r.real for r in np.roots([1.0, 0.0, pi, qi]) if abs(r.imag) < 1e-9)
+            for pi, qi in zip(p, q)]
+    disc = (q / 2) ** 2 + (p / 3) ** 3
+    assert np.any(disc < 0) and np.any(disc > 0)
+    assert np.allclose(ct._largest_real_root(p, q), want, rtol=1e-9, atol=1e-9)
+
+
+def _window_margins(cert, spec, u, eps):
+    """Each window margin at the points (u, eps), which broadcast."""
+    f, df, d2f = nl.evaluate_many(spec, u)
+    coeff = ct.coeffs_first_kind if cert.kind == "first" else ct.coeffs_second_kind
+    A, B, C = coeff(cert.N, cert.beta, cert.gamma, cert.d, u, eps,
+                    u * df / f, u * u * d2f / f)
+    corr = np.where(u < cert.chi_L * eps, cert.chi_L, 0.0)
+    names = ("U0", "V0", "W0") if cert.kind == "first" else ("X0", "Y0", "Z0")
+    return dict(zip(names, (A - cert.floors[names[0]] + 0.0 * corr,
+                            B - cert.floors[names[1]] + corr,
+                            C - cert.floors[names[2]] + corr)))
+
+
+def _per_u_minima(cert, spec):
+    """{name: (least at the eps candidates, least on a 20001-point eps scan)}
+    per u of certify's axis."""
+    u = ct.U_AXIS
+    f, df, d2f = nl.evaluate_many(spec, u)
+    eps = ct._eps_candidates(cert, u, u * df / f, u * u * d2f / f)
+    dense = np.geomspace(*ct.DEFAULT_EPS_RANGE, 20001)
+    scanned = [{name: np.min(m, axis=1) for name, m in
+                _window_margins(cert, spec, chunk[:, None], dense).items()}
+               for chunk in np.array_split(u, 12)]
+    return {name: (np.min(m, axis=0),
+                   np.concatenate([chunk[name] for chunk in scanned]))
+            for name, m in _window_margins(cert, spec, u, eps).items()}
+
+
+@pytest.mark.parametrize("N,spec", [
+    (5.0, nl.power(2.0)),
+    (3.0, nl.power(3.5)),
+    (5.0, nl.power_sum([(1, 2), (1, 2.2)])),
+    (3.0, nl.power_sum([(1, 3.2), (2, 3.6)])),
+])
+def test_candidate_minimum_matches_a_dense_eps_scan(N, spec):
+    cert = _certified(N, "1.7", spec)
+    assert cert.recipe.startswith("window-" + cert.kind)
+    ver = cert.verification
+    for name, (per_u, least) in _per_u_minima(cert, spec).items():
+        # up to rounding: close to its vertex s = 1, U is flat far below an ulp
+        assert np.all(per_u <= least + 1e-12 * np.abs(least))
+        assert ver["margins"][name] == np.min(per_u)
+        assert np.min(least) - np.min(per_u) <= 1e-3 * np.min(least)
+    if isinstance(spec.family, nl.PowerLaw):
+        # r1 and r2 are constant, so each margin depends on s = u/(u + eps)
+        # alone, and (u, eps) = (s, 1 - s) runs over the whole s-range
+        lo = ct.DEFAULT_U_RANGE[0] / (ct.DEFAULT_U_RANGE[0] + ct.DEFAULT_EPS_RANGE[1])
+        s = np.concatenate([np.geomspace(lo, 0.5, 10**5),
+                            1.0 - np.geomspace(1e-12, 0.5, 10**5)])
+        whole = _window_margins(cert, spec, s, 1.0 - s)
+        assert ver["worst_margin"] <= min(float(np.min(m)) for m in whole.values())
+
+
+def test_candidate_minimum_takes_the_cross_vertex():
+    # at N = 10 the vertex of V in s lies in (0, 1); for u below chi_L eps
+    # the small set holds it, and there it is the least V of that u
+    spec = nl.power(1.45)
+    cert = _certified(10.0, "1.7", spec)
+    assert 0 < 1 - cert.beta / (2 * cert.d * (1 / cert.beta - 1)) < 1
+    per_u, least = _per_u_minima(cert, spec)["V0"]
+    assert np.all(per_u <= least)
 
 
 def test_floors_positive_for_standard_certs():

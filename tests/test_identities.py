@@ -12,9 +12,13 @@ every coefficient of both systems exactly.  The coefficients come from
 symbols, so a slip in the production formulas leaves a nonzero residual.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from ellab import constants as ct
+from ellab import nonlinearity as nl
 
 sp = pytest.importorskip("sympy")
 
@@ -71,3 +75,21 @@ def test_first_kind_coefficients_are_exact():
 
 def test_second_kind_coefficients_are_exact():
     _check("second")
+
+
+def test_window_eps_candidates_are_stationary_points():
+    # certify's last eps candidate per u is where the gamma = 1 first-kind V
+    # or second-kind Y is stationary in s = u/(u + eps): the production
+    # coefficient, differentiated symbolically, vanishes there.  beta and d
+    # put that point inside the s-range of u = 1
+    s = sp.Symbol("s", positive=True)
+    for N, alpha, coeff, beta, d in [(5.0, 2.0, ct.coeffs_first_kind, 0.3, 0.5),
+                                     (3.0, 3.5, ct.coeffs_second_kind, 0.6, 0.1)]:
+        cert = ct.synthesize(N, nl.compute_indices(nl.power(alpha)), "1.7")
+        cert = dataclasses.replace(cert, beta=beta, d=d)
+        r1, r2 = alpha, alpha * (alpha - 1.0)
+        eps = ct._eps_candidates(cert, np.array([1.0]), r1, r2)[-1, 0]
+        s0 = 1.0 / (1.0 + eps)
+        assert 0.6 < s0 < 0.99
+        V_or_Y = coeff(N, beta, 1.0, d, s, 1 - s, r1, r2)[1]
+        assert abs(float(sp.diff(V_or_Y, s).subs(s, s0))) < 1e-12
